@@ -208,11 +208,16 @@ class BasicDnsResolver {
                             std::shared_ptr<DomainTable> table = nullptr)
       : table_{table ? std::move(table)
                      : std::make_shared<DomainTable>()},
-        clist_(clist_size > 0 ? clist_size : 1) {
+        capacity_{clist_size > 0 ? clist_size : 1} {
+    // The Clist grows lazily inside address space reserved up front: a
+    // slot is constructed the first time the insertion cursor reaches it,
+    // so an idle resolver costs no resident memory and no set-up time,
+    // and the vector never reallocates (slot addresses stay stable).
+    clist_.reserve(capacity_);
     // Warm the index for small/medium Clists so steady state does not
     // rehash; capped because live keys track traffic, not L, and a
     // default L of 2^20 per shard must not pre-commit megabytes.
-    index_.reserve(std::min(clist_.size(), std::size_t{1} << 12));
+    index_.reserve(std::min(capacity_, std::size_t{1} << 12));
   }
 
   /// INSERT(DNSresponse) with a pre-interned name: the zero-allocation
@@ -225,7 +230,13 @@ class BasicDnsResolver {
     ++stats_.inserts;
 
     // Recycle the next Clist slot (Alg. 1 lines 22-25): drop the old
-    // entry's keys from the index before reusing the slot.
+    // entry's keys from the index before reusing the slot. On the first
+    // lap the slot does not exist yet and is constructed in place.
+    if (next_ == clist_.size()) {
+      // dnh-analyze: allow(alloc, capacity reserved in the constructor;
+      // never reallocates -- this constructs one slot in place)
+      clist_.emplace_back();
+    }
     Entry& slot = clist_[next_];
     if (slot.in_use) {
       ++stats_.evictions;
@@ -235,7 +246,7 @@ class BasicDnsResolver {
     // Increment-and-wrap: the modulo on every insert was a measurable
     // per-response cost (integer division) for a counter that only ever
     // advances by one.
-    if (++next_ == clist_.size()) next_ = 0;
+    if (++next_ == capacity_) next_ = 0;
 
     slot.in_use = true;
     slot.generation += 1;
@@ -350,7 +361,7 @@ class BasicDnsResolver {
   }
 
   const ResolverStats& stats() const noexcept { return stats_; }
-  std::size_t capacity() const noexcept { return clist_.size(); }
+  std::size_t capacity() const noexcept { return capacity_; }
 
   /// Number of clients currently present in the index.
   std::size_t client_count() const noexcept {
@@ -396,7 +407,8 @@ class BasicDnsResolver {
   }
 
   std::shared_ptr<DomainTable> table_;
-  std::vector<Entry> clist_;
+  std::size_t capacity_;        ///< the paper's L
+  std::vector<Entry> clist_;    ///< grows to capacity_, then recycles
   std::size_t next_ = 0;
   PairIndex index_;
   mutable ResolverStats stats_;

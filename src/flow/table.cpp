@@ -21,18 +21,8 @@ OrientedKey orient(const packet::DecodedPacket& pkt) {
   const std::uint16_t dport = pkt.dst_port();
   out.key.transport = pkt.is_tcp() ? Transport::kTcp : Transport::kUdp;
 
-  bool src_is_client;
-  if (pkt.is_tcp() && pkt.tcp().syn() && !pkt.tcp().ack_flag()) {
-    src_is_client = true;  // SYN sender initiates
-  } else if (pkt.is_tcp() && pkt.tcp().syn() && pkt.tcp().ack_flag()) {
-    src_is_client = false;  // SYN/ACK sender is the server
-  } else if ((sport < 1024) != (dport < 1024)) {
-    src_is_client = dport < 1024;
-  } else if (sport != dport) {
-    src_is_client = dport < sport;
-  } else {
-    src_is_client = src < dst;
-  }
+  const bool src_is_client = sender_is_client(
+      src, dst, sport, dport, pkt.is_tcp() ? pkt.tcp().flags : 0);
 
   if (src_is_client) {
     out.key.client_ip = src;

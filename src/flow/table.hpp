@@ -102,9 +102,24 @@ struct OrientedKey {
   bool client_to_server = true;
 };
 
-/// Orientation rules, in priority order: pure SYN marks the sender as the
-/// client; otherwise the lower port number is taken as the server side
-/// (ports below 1024 always win); ties fall back to address ordering.
+/// The orientation rule on raw header fields: is the packet's sender the
+/// flow's client? In priority order: pure SYN marks the sender as the
+/// client and SYN/ACK as the server; otherwise the lower port number is
+/// taken as the server side (ports below 1024 always win); ties fall back
+/// to address ordering. `tcp_flags` is the TCP flags byte (0 for UDP).
+/// Shared by orient() and the pipeline's header-only route peek, so the
+/// two can never disagree on who the client is.
+inline bool sender_is_client(net::Ipv4Address src, net::Ipv4Address dst,
+                             std::uint16_t sport, std::uint16_t dport,
+                             std::uint8_t tcp_flags) noexcept {
+  if (tcp_flags & packet::tcpflags::kSyn)
+    return !(tcp_flags & packet::tcpflags::kAck);
+  if ((sport < 1024) != (dport < 1024)) return dport < 1024;
+  if (sport != dport) return dport < sport;
+  return src < dst;
+}
+
+/// Orients a decoded IPv4 packet by sender_is_client().
 OrientedKey orient(const packet::DecodedPacket& pkt);
 
 }  // namespace dnh::flow

@@ -59,7 +59,15 @@ class Reader {
   static std::optional<Reader> open(const std::string& path,
                                     Mode mode = Mode::kStrict);
 
-  /// Reads the next frame; nullopt at end of stream (or on error).
+  /// Reads the next frame into `frame`, reusing its buffer: the data
+  /// capacity grows to the largest record once and is never shrunk, so a
+  /// caller that keeps one Frame for the whole stream reads without
+  /// allocating. Returns false at end of stream (or on error); `frame`'s
+  /// contents are then unspecified.
+  bool next(Frame& frame);
+
+  /// Reads the next frame into a fresh Frame; nullopt at end of stream
+  /// (or on error). Convenience wrapper over next(Frame&).
   std::optional<Frame> next();
 
   /// Non-empty if the stream ended due to corruption rather than EOF

@@ -100,53 +100,59 @@ void NgReader::parse_interface_block(const std::vector<std::uint8_t>& body) {
 }
 
 std::optional<Frame> NgReader::next() {
-  if (!file_ || !error_.empty()) return std::nullopt;
+  Frame frame;
+  if (!next(frame)) return std::nullopt;
+  return frame;
+}
+
+bool NgReader::next(Frame& frame) {
+  if (!file_ || !error_.empty()) return false;
   while (true) {
     std::uint32_t raw_type = 0, raw_length = 0;
     const std::size_t got = std::fread(&raw_type, 1, 4, file_.get());
-    if (got == 0) return std::nullopt;  // clean EOF
+    if (got == 0) return false;  // clean EOF
     if (got != 4 || !read_exact(&raw_length, 4)) {
       error_ = "truncated block header";
-      return std::nullopt;
+      return false;
     }
     const std::uint32_t type = to_host(raw_type);
     const std::uint32_t total_length = to_host(raw_length);
     if (total_length < 12 || total_length > kMaxBlockLength ||
         total_length % 4 != 0) {
       error_ = "implausible block length";
-      return std::nullopt;
+      return false;
     }
-    std::vector<std::uint8_t> body(total_length - 12);
-    if (!read_exact(body.data(), body.size())) {
+    body_.resize(total_length - 12);
+    if (!read_exact(body_.data(), body_.size())) {
       error_ = "truncated block body";
-      return std::nullopt;
+      return false;
     }
     std::uint32_t trailer = 0;
     if (!read_exact(&trailer, 4) || to_host(trailer) != total_length) {
       error_ = "block trailer mismatch";
-      return std::nullopt;
+      return false;
     }
 
     if (type == kInterfaceBlock) {
-      parse_interface_block(body);
+      parse_interface_block(body_);
       continue;
     }
     if (type == kEnhancedPacketBlock) {
-      if (body.size() < 20) {
+      if (body_.size() < 20) {
         error_ = "short enhanced packet block";
-        return std::nullopt;
+        return false;
       }
       std::uint32_t iface_id, ts_high, ts_low, captured, original;
-      std::memcpy(&iface_id, body.data(), 4);
-      std::memcpy(&ts_high, body.data() + 4, 4);
-      std::memcpy(&ts_low, body.data() + 8, 4);
-      std::memcpy(&captured, body.data() + 12, 4);
-      std::memcpy(&original, body.data() + 16, 4);
+      std::memcpy(&iface_id, body_.data(), 4);
+      std::memcpy(&ts_high, body_.data() + 4, 4);
+      std::memcpy(&ts_low, body_.data() + 8, 4);
+      std::memcpy(&captured, body_.data() + 12, 4);
+      std::memcpy(&original, body_.data() + 16, 4);
       iface_id = to_host(iface_id);
       captured = to_host(captured);
-      if (20 + captured > body.size()) {
+      if (20 + captured > body_.size()) {
         error_ = "enhanced packet data exceeds block";
-        return std::nullopt;
+        return false;
       }
       const std::uint64_t ticks =
           (std::uint64_t{to_host(ts_high)} << 32) | to_host(ts_low);
@@ -154,26 +160,25 @@ std::optional<Frame> NgReader::next() {
           iface_id < interfaces_.size()
               ? interfaces_[iface_id].ticks_per_second
               : 1'000'000;
-      Frame frame;
       frame.timestamp = util::Timestamp::from_micros(static_cast<std::int64_t>(
           ticks * 1'000'000 / ticks_per_second));
       frame.original_length = to_host(original);
-      frame.data.assign(body.begin() + 20, body.begin() + 20 + captured);
+      frame.data.assign(body_.begin() + 20, body_.begin() + 20 + captured);
       ++frames_read_;
-      return frame;
+      return true;
     }
     if (type == kSimplePacketBlock) {
-      if (body.size() < 4) {
+      if (body_.size() < 4) {
         error_ = "short simple packet block";
-        return std::nullopt;
+        return false;
       }
       std::uint32_t original = 0;
-      std::memcpy(&original, body.data(), 4);
-      Frame frame;
+      std::memcpy(&original, body_.data(), 4);
+      frame.timestamp = util::Timestamp{};
       frame.original_length = to_host(original);
-      frame.data.assign(body.begin() + 4, body.end());
+      frame.data.assign(body_.begin() + 4, body_.end());
       ++frames_read_;
-      return frame;
+      return true;
     }
     // Unknown/unsupported block (NRB, ISB, custom, new SHB): skip.
   }
@@ -213,58 +218,54 @@ ReadMetrics& read_metrics() {
   return metrics;
 }
 
+// Streams every frame of an open reader through `sink`, reading into one
+// Frame whose buffer is recycled for the whole capture.
+template <typename AnyReader>
+void pump_frames(AnyReader& reader,
+                 const std::function<void(const Frame&)>& sink,
+                 const CaptureReadOptions& options,
+                 CaptureReadReport& report) {
+  ReadMetrics& metrics = read_metrics();
+  obs::SampleGate gate{64};
+  Frame frame;
+  while (true) {
+    if (options.stop && options.stop()) {
+      report.stopped = true;
+      break;
+    }
+    bool got;
+    {
+      obs::SpanTimer span{metrics.read_ns, gate};
+      got = reader.next(frame);
+    }
+    if (!got) break;
+    metrics.frames.inc();
+    metrics.bytes.add(frame.data.size());
+    sink(frame);
+    ++report.frames;
+  }
+  report.error = reader.error();
+}
+
 }  // namespace
 
 bool read_any_capture(const std::string& path,
                       const std::function<void(const Frame&)>& sink,
                       const CaptureReadOptions& options,
                       CaptureReadReport& report) {
-  ReadMetrics& metrics = read_metrics();
-  obs::SampleGate gate{64};
   const auto mode =
       options.resync ? Reader::Mode::kResync : Reader::Mode::kStrict;
   if (auto classic = Reader::open(path, mode)) {
-    while (true) {
-      if (options.stop && options.stop()) {
-        report.stopped = true;
-        break;
-      }
-      std::optional<Frame> frame;
-      {
-        obs::SpanTimer span{metrics.read_ns, gate};
-        frame = classic->next();
-      }
-      if (!frame) break;
-      metrics.frames.inc();
-      metrics.bytes.add(frame->data.size());
-      sink(*frame);
-      ++report.frames;
-    }
-    report.error = classic->error();
+    pump_frames(*classic, sink, options, report);
     report.corruption = classic->corruption();
+    ReadMetrics& metrics = read_metrics();
     metrics.resyncs.add(report.corruption.resyncs);
     metrics.bytes_skipped.add(report.corruption.bytes_skipped);
     metrics.truncated_tails.add(report.corruption.truncated_tail);
     return report.error.empty();
   }
   if (auto ng = NgReader::open(path)) {
-    while (true) {
-      if (options.stop && options.stop()) {
-        report.stopped = true;
-        break;
-      }
-      std::optional<Frame> frame;
-      {
-        obs::SpanTimer span{metrics.read_ns, gate};
-        frame = ng->next();
-      }
-      if (!frame) break;
-      metrics.frames.inc();
-      metrics.bytes.add(frame->data.size());
-      sink(*frame);
-      ++report.frames;
-    }
-    report.error = ng->error();
+    pump_frames(*ng, sink, options, report);
     return report.error.empty();
   }
   report.error = "not a pcap or pcapng capture: " + path;

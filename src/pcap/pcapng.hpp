@@ -27,6 +27,10 @@ class NgReader {
   /// Block.
   static std::optional<NgReader> open(const std::string& path);
 
+  /// Next packet frame into `frame`, reusing its buffer (see
+  /// Reader::next(Frame&)); false at end of stream (check error()).
+  bool next(Frame& frame);
+
   /// Next packet frame; nullopt at end of stream (check error()).
   std::optional<Frame> next();
 
@@ -61,6 +65,8 @@ class NgReader {
   std::unique_ptr<std::FILE, FileCloser> file_;
   bool swapped_ = false;
   std::vector<Interface> interfaces_;
+  /// Block body scratch, reused across blocks (grows to the largest).
+  std::vector<std::uint8_t> body_;
   std::uint64_t frames_read_ = 0;
   std::string error_;
 };

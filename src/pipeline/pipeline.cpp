@@ -18,7 +18,7 @@
 #include "dns/message.hpp"
 #include "flow/table.hpp"
 #include "obs/flight.hpp"
-#include "packet/decode.hpp"
+#include "packet/headers.hpp"
 #include "pcap/pcapng.hpp"
 #include "pipeline/spsc_ring.hpp"
 #include "util/mutex.hpp"
@@ -263,6 +263,10 @@ ShardedAnalyzer::ShardedAnalyzer(PipelineConfig config, WindowSink sink)
     : config_{std::move(config)}, sink_{std::move(sink)} {
   if (config_.shards == 0) config_.shards = 1;
   dispatch_.resize(config_.shards);
+  // Every shard's live connections pass through the one routing table
+  // (unused with one shard: everything routes to it).
+  if (config_.shards > 1)
+    routes_.reserve(config_.shards * config_.sniffer.table.expected_flows);
   // Record orientation splits pairs exactly where the flow table splits
   // flows: same idle timeout, same sweep cadence.
   flowexport::OrienterConfig orienter_config;
@@ -406,48 +410,108 @@ ShardedAnalyzer::~ShardedAnalyzer() { finish(); }
 
 namespace {
 
+// What routing needs of a frame, read straight from its wire bytes.
+struct RoutePeek {
+  net::Ipv4Address src;
+  net::Ipv4Address dst;
+  std::uint16_t sport = 0;
+  std::uint16_t dport = 0;
+  std::uint8_t tcp_flags = 0;  ///< 0 for UDP
+  bool tcp = false;
+};
+
+std::uint16_t load_be16(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+
+std::uint32_t load_be32(const std::uint8_t* p) noexcept {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | p[3];
+}
+
+// The dispatcher's header-only decode: Ethernet, up to 4 VLAN tags, the
+// IPv4 header and the TCP/UDP ports (plus TCP flags). It accepts exactly
+// the IPv4 TCP/UDP frames packet::decode_frame accepts — every length the
+// decoder checks (VLAN tags, IHL and options, total length, TCP data
+// offset and options, UDP length) is checked here the same way — and
+// returns false for everything routing sends to shard 0: undecodable,
+// non-IPv4 (IPv6 included) and non-TCP/UDP frames. The payload is never
+// touched; the shard decodes the frame in full.
+// dnh-analyze: hot
+bool peek_route(net::BytesView frame, RoutePeek& out) noexcept {
+  // dnh-lint: hot
+  const std::uint8_t* p = frame.data();
+  const std::size_t n = frame.size();
+  if (n < 14) return false;
+  std::uint16_t ether_type = load_be16(p + 12);
+  std::size_t off = 14;
+  // 802.1Q / 802.1ad tags: 2 bytes of TCI + the real EtherType each.
+  for (int tags = 0; (ether_type == 0x8100 || ether_type == 0x88a8) &&
+                     tags < 4;
+       ++tags) {
+    if (n < off + 4) return false;
+    ether_type = load_be16(p + off + 2);
+    off += 4;
+  }
+  if (ether_type != packet::kEtherTypeIpv4 || n < off + 20) return false;
+  const std::uint8_t* ip = p + off;
+  const std::size_t ihl = static_cast<std::size_t>(ip[0] & 0x0f) * 4;
+  if ((ip[0] >> 4) != 4 || ihl < 20 || n < off + ihl) return false;
+  if (load_be16(ip + 2) < ihl) return false;  // total length < header
+  const std::uint8_t protocol = ip[9];
+  out.src = net::Ipv4Address{load_be32(ip + 12)};
+  out.dst = net::Ipv4Address{load_be32(ip + 16)};
+  off += ihl;
+  const std::uint8_t* l4 = p + off;
+  if (protocol == packet::kProtoTcp) {
+    if (n < off + 20) return false;
+    const std::size_t data_offset = static_cast<std::size_t>(l4[12] >> 4) * 4;
+    if (data_offset < 20 || n < off + data_offset) return false;
+    out.tcp = true;
+    out.tcp_flags = l4[13];
+  } else if (protocol == packet::kProtoUdp) {
+    if (n < off + 8 || load_be16(l4 + 4) < 8) return false;
+    out.tcp = false;
+    out.tcp_flags = 0;
+  } else {
+    return false;
+  }
+  out.sport = load_be16(l4);
+  out.dport = load_be16(l4 + 2);
+  return true;
+}
+
 // The client side is the dispatch key. For DNS traffic the client is
 // whoever is NOT on port 53 (responses must land on the same shard as
 // the flows they will label); for everything else the flow-orientation
-// rules decide.
-net::Ipv4Address dispatch_client(const packet::DecodedPacket& pkt) {
-  if (pkt.is_udp() && pkt.udp().src_port == dns::kDnsPort) return pkt.dst_v4();
-  if (pkt.is_udp() && pkt.udp().dst_port == dns::kDnsPort) return pkt.src_v4();
-  if (pkt.is_tcp() && pkt.tcp().src_port == dns::kDnsPort) return pkt.dst_v4();
-  if (pkt.is_tcp() && pkt.tcp().dst_port == dns::kDnsPort) return pkt.src_v4();
-  return flow::orient(pkt).key.client_ip;
+// rule decides.
+net::Ipv4Address route_client(const RoutePeek& peek) noexcept {
+  if (peek.sport == dns::kDnsPort) return peek.dst;
+  if (peek.dport == dns::kDnsPort) return peek.src;
+  return flow::sender_is_client(peek.src, peek.dst, peek.sport, peek.dport,
+                                peek.tcp_flags)
+             ? peek.src
+             : peek.dst;
 }
 
-std::size_t shard_for_packet(const packet::DecodedPacket& pkt,
-                             std::size_t shards) {
-  return static_cast<std::size_t>(
-      splitmix64(dispatch_client(pkt).value()) %
-      static_cast<std::uint64_t>(shards));
+std::size_t shard_of(net::Ipv4Address client, std::size_t shards) noexcept {
+  return static_cast<std::size_t>(splitmix64(client.value()) %
+                                  static_cast<std::uint64_t>(shards));
 }
 
 // Direction-free connection identity: both directions of a 5-tuple map to
 // the same key, with the lexicographically smaller (ip, port) endpoint in
 // the client slots. Purely an index into the routing table — it says
 // nothing about which side is the real client.
-flow::FlowKey route_key(const packet::DecodedPacket& pkt) {
+flow::FlowKey route_key(const RoutePeek& peek) noexcept {
   flow::FlowKey key;
-  key.transport =
-      pkt.is_tcp() ? flow::Transport::kTcp : flow::Transport::kUdp;
-  const net::Ipv4Address src = pkt.src_v4();
-  const net::Ipv4Address dst = pkt.dst_v4();
-  const std::uint16_t sport = pkt.src_port();
-  const std::uint16_t dport = pkt.dst_port();
-  if (std::tie(src, sport) <= std::tie(dst, dport)) {
-    key.client_ip = src;
-    key.client_port = sport;
-    key.server_ip = dst;
-    key.server_port = dport;
-  } else {
-    key.client_ip = dst;
-    key.client_port = dport;
-    key.server_ip = src;
-    key.server_port = sport;
-  }
+  key.transport = peek.tcp ? flow::Transport::kTcp : flow::Transport::kUdp;
+  const bool src_first =
+      std::tie(peek.src, peek.sport) <= std::tie(peek.dst, peek.dport);
+  key.client_ip = src_first ? peek.src : peek.dst;
+  key.client_port = src_first ? peek.sport : peek.dport;
+  key.server_ip = src_first ? peek.dst : peek.src;
+  key.server_port = src_first ? peek.dport : peek.sport;
   return key;
 }
 
@@ -455,20 +519,17 @@ flow::FlowKey route_key(const packet::DecodedPacket& pkt) {
 
 std::size_t ShardedAnalyzer::shard_for(net::BytesView frame,
                                        std::size_t shards) {
-  if (shards <= 1) return 0;
-  packet::DecodeFailure failure = packet::DecodeFailure::kNone;
-  const auto pkt = packet::decode_frame(frame, util::Timestamp{}, failure);
-  if (!pkt || !pkt->is_ipv4()) return 0;
-  return shard_for_packet(*pkt, shards);
+  RoutePeek peek;
+  if (shards <= 1 || !peek_route(frame, peek)) return 0;
+  return shard_of(route_client(peek), shards);
 }
 
+// dnh-analyze: hot
 std::size_t ShardedAnalyzer::route_frame(net::BytesView frame,
                                          util::Timestamp ts) {
-  if (config_.shards <= 1) return 0;
-  packet::DecodeFailure failure = packet::DecodeFailure::kNone;
-  const auto pkt = packet::decode_frame(frame, util::Timestamp{}, failure);
-  if (!pkt || !pkt->is_ipv4()) return 0;
-  if (!pkt->is_tcp() && !pkt->is_udp()) return 0;
+  // dnh-lint: hot
+  RoutePeek peek;
+  if (config_.shards <= 1 || !peek_route(frame, peek)) return 0;
 
   // Connection affinity: the first packet of a 5-tuple picks the shard by
   // the stateless heuristic; every later packet — in either direction —
@@ -479,22 +540,18 @@ std::size_t ShardedAnalyzer::route_frame(net::BytesView frame,
   const util::Duration idle = config_.sniffer.table.idle_timeout;
   if (++routed_packets_ % config_.sniffer.table.sweep_interval_packets ==
       0) {
-    for (auto it = routes_.begin(); it != routes_.end();) {
-      if (ts - it->second.last > idle)
-        it = routes_.erase(it);
-      else
-        ++it;
-    }
+    routes_.erase_if(
+        [&](const auto& entry) { return ts - entry.second.last > idle; });
   }
-  const flow::FlowKey key = route_key(*pkt);
-  const auto it = routes_.find(key);
-  if (it != routes_.end() && !(ts - it->second.last > idle)) {
-    if (ts > it->second.last) it->second.last = ts;
-    return it->second.shard;
+  auto [it, inserted] = routes_.try_emplace(route_key(peek));
+  Route& route = it->second;
+  if (inserted || ts - route.last > idle) {
+    route.shard = shard_of(route_client(peek), config_.shards);
+    route.last = ts;
+  } else if (ts > route.last) {
+    route.last = ts;
   }
-  const std::size_t shard = shard_for_packet(*pkt, config_.shards);
-  routes_[key] = Route{shard, ts};
-  return shard;
+  return route.shard;
 }
 
 void ShardedAnalyzer::on_frame(net::BytesView frame, util::Timestamp ts) {
@@ -564,17 +621,12 @@ void ShardedAnalyzer::on_export_record(const flowexport::ExportRecord& record,
   item.ts = arrival;
   item.record = orienter_.orient(record);
   // Route by the oriented client: the shard whose resolver replica holds
-  // this client's DNS history — the same reduction dispatch_client feeds
+  // this client's DNS history — the same reduction route_client feeds
   // for DNS frames, so records and the responses that label them always
   // meet on one shard. Records are per-flow (not per-packet), so the
   // lossless control-item push is cheap enough.
-  const std::size_t shard =
-      config_.shards <= 1
-          ? 0
-          : static_cast<std::size_t>(
-                splitmix64(item.record.key.client_ip.value()) %
-                static_cast<std::uint64_t>(config_.shards));
-  push_control(shard, std::move(item));
+  push_control(shard_of(item.record.key.client_ip, config_.shards),
+               std::move(item));
 }
 
 void ShardedAnalyzer::dispatch_frame(net::BytesView frame,

@@ -45,7 +45,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/live.hpp"
@@ -59,6 +58,7 @@
 #include "obs/trace.hpp"
 #include "pipeline/spill.hpp"
 #include "pipeline/supervisor.hpp"
+#include "util/flat_hash.hpp"
 #include "util/time.hpp"
 
 namespace dnh::pcap {
@@ -92,7 +92,9 @@ struct PipelineConfig {
   /// Applied to every shard's private Sniffer. Each shard gets the FULL
   /// clist_size: entries are keyed by client and clients never share
   /// entries, so private full-size Clists reproduce single-threaded
-  /// tagging exactly (at N× the memory — see docs/pipeline.md).
+  /// tagging exactly. N shards reserve N·L entries of address space, but
+  /// each Clist grows lazily, so resident memory follows the DNS
+  /// responses actually inserted (see docs/pipeline.md).
   core::SnifferConfig sniffer;
   /// Window rotation length; zero (default) delivers one merged window
   /// covering the whole stream at finish(). Non-zero mirrors
@@ -255,7 +257,9 @@ class ShardedAnalyzer {
   /// studies: which shard (0..shards-1) a frame would route to on first
   /// sight. Pure: client address extracted by the flow-orientation rules
   /// (DNS frames key on the client side of the response), hashed, reduced
-  /// mod `shards`. Undecodable and non-IPv4 frames route to shard 0.
+  /// mod `shards`. Undecodable and non-IPv4 frames route to shard 0. The
+  /// frame is read by a header-only peek (Ethernet/VLAN, IPv4, ports and
+  /// TCP flags) that accepts exactly what packet::decode_frame accepts.
   ///
   /// The live dispatcher wraps this in a connection-affinity table
   /// (route_frame): the first packet of a 5-tuple pins its shard, and
@@ -326,7 +330,7 @@ class ShardedAnalyzer {
   };
   // dnh-lint: bounded(sweep_interval_packets) idle entries expire against
   // the arriving packet and are swept on the flow table's cadence.
-  std::unordered_map<flow::FlowKey, Route> routes_;
+  util::FlatHash<flow::FlowKey, Route> routes_;
   /// Record orientation state (flow-export ingest). Dispatcher-thread-only.
   flowexport::RecordOrienter orienter_;
   std::uint64_t routed_packets_ = 0;

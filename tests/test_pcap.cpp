@@ -2,12 +2,47 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <new>
 
+#include "faultinject/faultinject.hpp"
 #include "pcap/pcap.hpp"
+#include "pcap/pcapng.hpp"
+
+// ---- global allocation counter ---------------------------------------------
+// Counts every operator-new in the binary; the reader tests snapshot it
+// around a whole-capture read to prove the per-frame path stays off the
+// heap.
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// GCC pairs the replaced operator new (malloc) with the replaced delete
+// (free) just fine; its heuristic only sees "free() of new-ed pointer".
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc{};
+}
+
+void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc{};
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dnh::pcap {
 namespace {
@@ -334,10 +369,204 @@ TEST_F(PcapTest, ResyncModeOnCleanFileIsInvisible) {
   EXPECT_EQ(reader->corruption().bytes_skipped, 0u);
 }
 
+// ------------------------------------------- buffer-reusing next(Frame&)
+
+/// Frame `i` of the varied capture: lengths grow and shrink (0 to 9000
+/// bytes, jumbo frames included), original lengths sometimes exceed the
+/// captured bytes, payload bytes depend on both frame and offset.
+Frame varied_frame(std::uint32_t i) {
+  static constexpr std::uint32_t kLengths[] = {60,   1514, 0,  9000, 1,
+                                               400,  8999, 64, 3000, 2};
+  Frame f;
+  f.timestamp = util::Timestamp::from_micros(1'000'000 + i * 1'000);
+  f.data.resize(kLengths[i % 10] + (i / 10) % 7);
+  for (std::size_t j = 0; j < f.data.size(); ++j)
+    f.data[j] = static_cast<std::uint8_t>(i * 31 + j);
+  f.original_length =
+      static_cast<std::uint32_t>(f.data.size()) + (i % 3 == 0 ? 100 : 0);
+  return f;
+}
+
+void write_varied_capture(const std::string& p, std::uint32_t frames) {
+  auto writer = Writer::create(p);
+  ASSERT_TRUE(writer);
+  for (std::uint32_t i = 0; i < frames; ++i) writer->write(varied_frame(i));
+}
+
+/// What a reader yields: every frame plus its end-of-stream state.
+struct ReadResult {
+  std::vector<Frame> frames;
+  CorruptionStats corruption;
+  std::string error;
+};
+
+void expect_same_frames(const std::vector<Frame>& a,
+                        const std::vector<Frame>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].timestamp, b[i].timestamp) << "frame " << i;
+    EXPECT_EQ(a[i].original_length, b[i].original_length) << "frame " << i;
+    EXPECT_EQ(a[i].data, b[i].data) << "frame " << i;
+  }
+}
+
+ReadResult read_with_optional(const std::string& p, Reader::Mode mode) {
+  ReadResult out;
+  auto reader = Reader::open(p, mode);
+  if (!reader) return out;
+  while (auto frame = reader->next()) out.frames.push_back(std::move(*frame));
+  out.corruption = reader->corruption();
+  out.error = reader->error();
+  return out;
+}
+
+ReadResult read_reusing(const std::string& p, Reader::Mode mode) {
+  ReadResult out;
+  auto reader = Reader::open(p, mode);
+  if (!reader) return out;
+  Frame frame;  // one buffer for the whole stream
+  while (reader->next(frame)) out.frames.push_back(frame);
+  out.corruption = reader->corruption();
+  out.error = reader->error();
+  return out;
+}
+
+TEST_F(PcapTest, ReusedFrameYieldsWhatFreshFramesYield) {
+  const std::string p = path("varied.pcap");
+  write_varied_capture(p, 200);
+  for (const auto mode : {Reader::Mode::kStrict, Reader::Mode::kResync}) {
+    const ReadResult fresh = read_with_optional(p, mode);
+    const ReadResult reused = read_reusing(p, mode);
+    ASSERT_EQ(fresh.frames.size(), 200u);
+    expect_same_frames(reused.frames, fresh.frames);
+    for (std::uint32_t i = 0; i < 200; ++i) {
+      const Frame want = varied_frame(i);
+      EXPECT_EQ(reused.frames[i].data, want.data) << "frame " << i;
+      EXPECT_EQ(reused.frames[i].original_length, want.original_length);
+      EXPECT_EQ(reused.frames[i].timestamp, want.timestamp);
+    }
+    EXPECT_TRUE(reused.error.empty());
+  }
+}
+
+/// FNV-1a over every frame's timestamp, lengths and bytes.
+std::uint64_t digest(const std::vector<Frame>& frames) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& f : frames) {
+    mix(static_cast<std::uint64_t>(f.timestamp.micros_since_epoch()));
+    mix(f.original_length);
+    mix(f.data.size());
+    for (const auto b : f.data) mix(b);
+  }
+  return h;
+}
+
+// Resync over every file-corruption mode of the fault injector, alone and
+// combined. The expected frame counts, digests and CorruptionStats were
+// produced by the reader before it reused buffers (a fresh Frame and an
+// ftell per record), so the buffer-reusing reader must reproduce the
+// exact frames and damage accounting of the original.
+TEST_F(PcapTest, ResyncOverEveryFileFaultMatchesTheOriginalReader) {
+  struct Case {
+    const char* name;
+    faultinject::FileFaultConfig config;
+    std::size_t frames;
+    std::uint64_t digest;
+    CorruptionStats stats;
+  };
+  const auto config = [](std::uint64_t seed, double garbage, double lies,
+                         bool tail) {
+    faultinject::FileFaultConfig c;
+    c.seed = seed;
+    c.garbage_run_rate = garbage;
+    c.length_lie_rate = lies;
+    c.truncate_tail = tail;
+    return c;
+  };
+  const Case cases[] = {
+      {"garbage-runs", config(7, 0.02, 0, false), 2000,
+       0x321ad8d2c1d118d6ULL, {41, 43509, 0}},
+      {"length-lies", config(8, 0, 0.02, false), 1967,
+       0xa5ea8231b96214f9ULL, {32, 68922, 0}},
+      {"truncated-tail", config(9, 0, 0, true), 1999,
+       0xded65912ea997874ULL, {0, 19, 1}},
+      {"all-faults", config(10, 0.02, 0.02, true), 1962,
+       0xc8dc9f7dd64d6558ULL, {70, 102325, 1}},
+  };
+  const std::string clean = path("varied_src.pcap");
+  write_varied_capture(clean, 2000);
+  for (const Case& c : cases) {
+    const std::string damaged = path(std::string{c.name} + ".pcap");
+    const auto report =
+        faultinject::corrupt_pcap_file(clean, damaged, c.config);
+    ASSERT_TRUE(report.has_value()) << c.name;
+    ASSERT_GT(report->faults(), 0u) << c.name;
+    const ReadResult reused = read_reusing(damaged, Reader::Mode::kResync);
+    const ReadResult fresh = read_with_optional(damaged, Reader::Mode::kResync);
+    expect_same_frames(reused.frames, fresh.frames);
+    EXPECT_EQ(reused.frames.size(), c.frames) << c.name;
+    EXPECT_EQ(digest(reused.frames), c.digest) << c.name;
+    EXPECT_EQ(reused.corruption.resyncs, c.stats.resyncs) << c.name;
+    EXPECT_EQ(reused.corruption.bytes_skipped, c.stats.bytes_skipped)
+        << c.name;
+    EXPECT_EQ(reused.corruption.truncated_tail, c.stats.truncated_tail)
+        << c.name;
+    EXPECT_TRUE(reused.error.empty()) << c.name;
+
+    // read_any_capture (one Frame for the whole loop) agrees as well.
+    CaptureReadOptions options;
+    options.resync = true;
+    CaptureReadReport report_any;
+    std::vector<Frame> via_any;
+    ASSERT_TRUE(read_any_capture(
+        damaged, [&](const Frame& f) { via_any.push_back(f); }, options,
+        report_any));
+    expect_same_frames(via_any, reused.frames);
+    EXPECT_EQ(report_any.corruption.events(), reused.corruption.events());
+    EXPECT_EQ(report_any.corruption.bytes_skipped,
+              reused.corruption.bytes_skipped);
+  }
+}
+
+/// Heap allocations made by one read_any_capture pass over `p`.
+std::uint64_t allocations_reading(const std::string& p) {
+  std::uint64_t frames = 0;
+  const std::function<void(const Frame&)> sink = [&frames](const Frame&) {
+    ++frames;
+  };
+  CaptureReadOptions options;
+  CaptureReadReport report;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const bool ok = read_any_capture(p, sink, options, report);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(ok) << report.error;
+  EXPECT_EQ(frames, report.frames);
+  return after - before;
+}
+
+TEST_F(PcapTest, ReadAnyCaptureAllocatesOncePerCaptureNotPerFrame) {
+  const std::string small = path("alloc_small.pcap");
+  const std::string large = path("alloc_large.pcap");
+  write_varied_capture(small, 100);
+  write_varied_capture(large, 10'000);
+  allocations_reading(small);  // first use registers the read metrics
+  const std::uint64_t a_small = allocations_reading(small);
+  const std::uint64_t a_large = allocations_reading(large);
+  // Same largest frame in both files: the buffer grows to it within the
+  // first ten records, so 100x the frames costs no extra allocation.
+  EXPECT_EQ(a_large, a_small) << a_small << " allocations for 100 frames, "
+                              << a_large << " for 10000";
+  EXPECT_LT(a_small, 64u);
+}
+
 }  // namespace
 }  // namespace dnh::pcap
-
-#include "pcap/pcapng.hpp"
 
 namespace dnh::pcap {
 namespace {

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -25,6 +26,7 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "packet/build.hpp"
+#include "packet/decode.hpp"
 #include "pcap/pcapng.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/spsc_ring.hpp"
@@ -274,6 +276,228 @@ TEST_F(PipelineTest, AmbiguousPortConnectionsDoNotForkAcrossShards) {
 
   EXPECT_EQ(merged.db.size(), kConnections);
   EXPECT_EQ(tsv(merged.db), tsv(single));
+}
+
+// The routing rule the dispatcher used before its header-only peek, kept
+// verbatim as the differential oracle: full decode_frame, client by the
+// port-53 special case or the flow-orientation rules, splitmix64 % N.
+std::size_t oracle_shard(net::BytesView frame, std::size_t shards) {
+  if (shards <= 1) return 0;
+  const auto pkt = packet::decode_frame(frame, util::Timestamp{});
+  if (!pkt || !pkt->is_ipv4()) return 0;
+  const net::Ipv4Address src = pkt->src_v4();
+  const net::Ipv4Address dst = pkt->dst_v4();
+  const std::uint16_t sport = pkt->src_port();
+  const std::uint16_t dport = pkt->dst_port();
+  bool src_is_client;
+  if (sport == 53) {
+    src_is_client = false;
+  } else if (dport == 53) {
+    src_is_client = true;
+  } else if (pkt->is_tcp() && pkt->tcp().syn() && !pkt->tcp().ack_flag()) {
+    src_is_client = true;
+  } else if (pkt->is_tcp() && pkt->tcp().syn() && pkt->tcp().ack_flag()) {
+    src_is_client = false;
+  } else if ((sport < 1024) != (dport < 1024)) {
+    src_is_client = dport < 1024;
+  } else if (sport != dport) {
+    src_is_client = dport < sport;
+  } else {
+    src_is_client = src < dst;
+  }
+  std::uint64_t x = (src_is_client ? src : dst).value();
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return static_cast<std::size_t>(x % shards);
+}
+
+constexpr std::array<std::size_t, 4> kRouteShardCounts{2, 3, 4, 8};
+
+void expect_routes_like_oracle(const net::Bytes& frame,
+                               const std::string& what) {
+  for (const std::size_t n : kRouteShardCounts)
+    EXPECT_EQ(pipeline::ShardedAnalyzer::shard_for(frame, n),
+              oracle_shard(frame, n))
+        << what << " at " << n << " shards";
+}
+
+TEST_F(PipelineTest, RoutePeekMatchesFullDecodeOnCaptureAndEveryFault) {
+  for (const auto& frame : *frames_)
+    expect_routes_like_oracle(frame.data, "capture frame");
+  // Every frame-corruption mode on its own, at a rate that damages most
+  // frames: truncations, header bit flips and length lies reach every
+  // acceptance check the peek shares with decode_frame.
+  for (std::size_t kind = 0; kind < faultinject::kFaultKindCount; ++kind) {
+    faultinject::FaultConfig config;
+    config.seed = 40 + kind;
+    config.fault_rate = 0.7;
+    config.weights.fill(0);
+    config.weights[kind] = 1;
+    faultinject::FrameCorruptor corruptor{config};
+    std::vector<pcap::Frame> damaged;
+    for (const auto& frame : *frames_) corruptor.feed(frame, damaged);
+    corruptor.flush(damaged);
+    ASSERT_GT(corruptor.stats().injected(), 0u);
+    const std::string label{faultinject::fault_kind_name(
+        static_cast<faultinject::FaultKind>(kind))};
+    for (const auto& frame : damaged)
+      expect_routes_like_oracle(frame.data, label);
+  }
+}
+
+// Hand-built frames at every boundary the peek checks. The endpoints are
+// chosen so both route to a non-zero shard at every tested count: a frame
+// the peek wrongly rejected (shard 0) or wrongly accepted (non-zero)
+// cannot then agree with the oracle by coincidence.
+TEST(PipelineRoutePeek, EdgeFramesRouteLikeFullDecode) {
+  const auto nonzero_everywhere = [](std::uint32_t base) {
+    for (std::uint32_t ip = base;; ++ip) {
+      packet::FrameSpec spec;
+      spec.src_ip = net::Ipv4Address{ip};
+      spec.dst_ip = net::Ipv4Address{ip};
+      spec.src_port = spec.dst_port = 80;
+      const net::Bytes probe = packet::build_udp_frame(spec, {});
+      bool ok = true;
+      for (const std::size_t n : kRouteShardCounts)
+        ok &= oracle_shard(probe, n) != 0;
+      if (ok) return net::Ipv4Address{ip};
+    }
+  };
+  packet::FrameSpec spec;
+  spec.src_ip = nonzero_everywhere(0x0a000001);
+  spec.dst_ip = nonzero_everywhere(0xcb007101);
+  spec.src_port = 40000;
+  spec.dst_port = 443;
+  const net::Bytes payload{'p', 'a', 'y', 'l', 'o', 'a', 'd'};
+  const net::Bytes udp = packet::build_udp_frame(spec, payload);
+  const net::Bytes tcp =
+      packet::build_tcp_frame(spec, packet::tcpflags::kAck, 1, 1, payload);
+  constexpr std::size_t kIp = 14;       // IPv4 header offset, untagged
+  constexpr std::size_t kL4 = kIp + 20;  // L4 header offset, no options
+  for (const std::size_t n : kRouteShardCounts) {
+    ASSERT_NE(oracle_shard(udp, n), 0u);
+    ASSERT_NE(oracle_shard(tcp, n), 0u);
+  }
+
+  std::vector<std::pair<std::string, net::Bytes>> cases;
+  const auto add = [&](std::string what, net::Bytes frame) {
+    cases.emplace_back(std::move(what), std::move(frame));
+  };
+  const auto patched = [](net::Bytes frame, std::size_t at,
+                          std::initializer_list<std::uint8_t> bytes) {
+    std::copy(bytes.begin(), bytes.end(), frame.begin() + at);
+    return frame;
+  };
+  const auto cut = [](net::Bytes frame, std::size_t size) {
+    frame.resize(size);
+    return frame;
+  };
+  add("udp", udp);
+  add("tcp", tcp);
+  add("empty", {});
+  add("short ethernet", cut(udp, 13));
+  add("ethernet only", cut(udp, 14));
+
+  // 0-5 VLAN tags (802.1Q and 802.1ad), whole and cut inside a tag.
+  for (int tags = 0; tags <= 5; ++tags) {
+    for (const std::uint16_t tpid : {0x8100, 0x88a8}) {
+      net::Bytes frame(udp.begin(), udp.begin() + 12);
+      for (int t = 0; t < tags; ++t) {
+        frame.push_back(static_cast<std::uint8_t>(tpid >> 8));
+        frame.push_back(static_cast<std::uint8_t>(tpid));
+        frame.push_back(0x00);
+        frame.push_back(static_cast<std::uint8_t>(t + 1));  // VLAN id
+      }
+      frame.insert(frame.end(), udp.begin() + 12, udp.end());
+      const std::string what =
+          std::to_string(tags) + " tags of " + std::to_string(tpid);
+      add(what, frame);
+      if (tags > 0) add(what + ", cut in the last tag", cut(frame, 12 + 4 * tags - 1));
+    }
+  }
+
+  // IPv4 header.
+  add("ip version 6 under ipv4 ethertype", patched(udp, kIp, {0x65}));
+  add("ihl 4", patched(udp, kIp, {0x44}));
+  add("ihl 0", patched(udp, kIp, {0x40}));
+  add("cut inside the ip header", cut(udp, kIp + 19));
+  add("ihl 15, options past the buffer end", patched(udp, kIp, {0x4f}));
+  add("ihl 15 on a bare header", cut(patched(udp, kIp, {0x4f}), kL4));
+  {
+    // Valid options: IHL 6 with four option bytes before the UDP header.
+    net::Bytes frame = patched(udp, kIp, {0x46});
+    frame.insert(frame.begin() + kL4, {1, 1, 1, 0});
+    const std::uint16_t total =
+        static_cast<std::uint16_t>(((frame[kIp + 2] << 8) | frame[kIp + 3]) + 4);
+    frame[kIp + 2] = static_cast<std::uint8_t>(total >> 8);
+    frame[kIp + 3] = static_cast<std::uint8_t>(total);
+    add("ihl 6 with options", frame);
+    add("ihl 6, options cut", cut(frame, kL4 + 2));
+  }
+  add("total length 19 < ihl", patched(udp, kIp + 2, {0x00, 19}));
+  add("total length 20 == ihl", patched(udp, kIp + 2, {0x00, 20}));
+  add("total length 0", patched(udp, kIp + 2, {0x00, 0x00}));
+  add("icmp", patched(udp, kIp + 9, {1}));
+  add("protocol 0", patched(udp, kIp + 9, {0}));
+
+  // TCP header.
+  add("tcp data offset 4", patched(tcp, kL4 + 12, {0x40}));
+  add("tcp data offset 0", patched(tcp, kL4 + 12, {0x00}));
+  add("tcp data offset 15 past the buffer end",
+      cut(patched(tcp, kL4 + 12, {0xf0}), kL4 + 40));
+  add("tcp data offset 8 exactly fits", cut(patched(tcp, kL4 + 12, {0x80}), kL4 + 32));
+  add("tcp data offset 8, one byte short",
+      cut(patched(tcp, kL4 + 12, {0x80}), kL4 + 31));
+  add("cut inside the tcp header", cut(tcp, kL4 + 19));
+  add("tcp header, no payload", cut(tcp, kL4 + 20));
+
+  // UDP header.
+  add("udp length 7", patched(udp, kL4 + 4, {0x00, 7}));
+  add("udp length 0", patched(udp, kL4 + 4, {0x00, 0x00}));
+  add("udp length 8", patched(udp, kL4 + 4, {0x00, 8}));
+  add("udp length past the ip payload", patched(udp, kL4 + 4, {0xff, 0xff}));
+  add("cut inside the udp header", cut(udp, kL4 + 7));
+
+  // Not IPv4: both route to shard 0 whatever they carry.
+  add("arp", patched(udp, 12, {0x08, 0x06}));
+  add("ipv6 ethertype, ipv4 bytes", patched(udp, 12, {0x86, 0xdd}));
+  {
+    net::Bytes v6(udp.begin(), udp.begin() + 12);
+    const net::Bytes rest{0x86, 0xdd, 0x60, 0, 0, 0, 0, 8, 17, 64};
+    v6.insert(v6.end(), rest.begin(), rest.end());
+    v6.resize(v6.size() + 32, 0x11);  // source + destination
+    const net::Bytes header{0x9c, 0x40, 0x00, 53, 0x00, 8, 0, 0};
+    v6.insert(v6.end(), header.begin(), header.end());
+    add("ipv6 udp", v6);
+  }
+
+  // Orientation: flags, well-known ports, equal ports, DNS.
+  using namespace packet::tcpflags;
+  for (const auto& [sport, dport] :
+       std::vector<std::pair<std::uint16_t, std::uint16_t>>{
+           {40000, 443}, {443, 40000}, {50000, 55000}, {55000, 50000},
+           {5000, 5000}, {80, 80}, {53, 53}, {53, 40000}, {40000, 53},
+           {53, 80}, {1023, 1024}, {1024, 1023}}) {
+    for (const bool swap_ips : {false, true}) {
+      packet::FrameSpec s2 = spec;
+      s2.src_port = sport;
+      s2.dst_port = dport;
+      if (swap_ips) std::swap(s2.src_ip, s2.dst_ip);
+      const std::string what = "ports " + std::to_string(sport) + "->" +
+                               std::to_string(dport) +
+                               (swap_ips ? " swapped ips" : "");
+      add(what + " udp", packet::build_udp_frame(s2, payload));
+      for (const std::uint8_t flags :
+           {kSyn, std::uint8_t(kSyn | kAck), kAck, std::uint8_t(kFin | kAck),
+            kRst, std::uint8_t(0)})
+        add(what + " tcp flags " + std::to_string(flags),
+            packet::build_tcp_frame(s2, flags, 0, 0, {}));
+    }
+  }
+
+  for (const auto& [what, frame] : cases) expect_routes_like_oracle(frame, what);
 }
 
 // ------------------------------------------------------------ determinism

@@ -4,20 +4,36 @@
 // shard counts, and under every spill-corruption chaos mode. This is the
 // end-to-end proof of the durability ordering (segment fsync before
 // manifest append) that the spill unit tests check piecewise.
+//
+// The killed child reads its capture from a FIFO the test feeds, so it
+// cannot finish before the test is ready: the test feeds part of the
+// capture, polls until the state the kill needs is on disk (a sealed
+// window in the manifest, a lifecycle event in the flight dump), and only
+// then signals. No test depends on a wall-clock sleep landing mid-run.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <array>
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "faultinject/faultinject.hpp"
+#include "obs/traceio.hpp"
+#include "pipeline/spill.hpp"
 #include "trafficgen/profiles.hpp"
 #include "trafficgen/simulator.hpp"
 
@@ -70,6 +86,7 @@ class RecoveryTest : public ::testing::Test {
     profile.n_clients = 40;
     trafficgen::Simulator sim{profile};
     ASSERT_TRUE(sim.write_pcap(pcap_));
+    capture_ = slurp(pcap_);
 
     // The uninterrupted single-threaded reference everything must match.
     baseline_ = (dir_ / "baseline.tsv").string();
@@ -79,50 +96,144 @@ class RecoveryTest : public ::testing::Test {
   }
   static void TearDownTestSuite() { fs::remove_all(dir_); }
 
-  /// Runs `dnhunter export` as a direct child (no shell, so the PID is
-  /// the binary's) and SIGKILLs it after `grace_us`. Returns true if the
-  /// kill landed mid-run (the child did not finish first).
-  static bool run_and_kill(const std::vector<std::string>& args,
-                           useconds_t grace_us) {
+  /// Runs `dnhunter export` on a FIFO fed from the test capture's bytes.
+  /// The first `feed_fraction` of the capture goes in; the child processes
+  /// it and blocks for more. `ready` is polled until it holds (generous
+  /// deadline), then `signo` is sent. For SIGTERM the rest of the capture
+  /// is fed afterwards, so the child keeps reading frames and notices the
+  /// drain between them. Records a test failure and returns false when the
+  /// child exits (or the deadline passes) before `ready` ever held — the
+  /// test then proves nothing, so it must not pass. `status` receives the
+  /// child's wait status.
+  static bool run_until_then_signal(const std::vector<std::string>& args,
+                                    double feed_fraction,
+                                    const std::function<bool()>& ready,
+                                    int signo, int& status) {
+    const std::string fifo =
+        (dir_ / ("feed_" + std::to_string(fifo_count_++) + ".fifo"))
+            .string();
+    if (::mkfifo(fifo.c_str(), 0600) != 0) {
+      ADD_FAILURE() << "mkfifo " << fifo << " failed";
+      return false;
+    }
     std::vector<const char*> argv;
     argv.push_back(DNHUNTER_BIN);
+    argv.push_back("export");
+    argv.push_back(fifo.c_str());
     for (const auto& arg : args) argv.push_back(arg.c_str());
     argv.push_back(nullptr);
+    // A child that dies mid-feed must surface as EPIPE, not kill the test.
+    const auto old_pipe = std::signal(SIGPIPE, SIG_IGN);
     const pid_t pid = fork();
     if (pid == 0) {
-      // Child: silence it and become dnhunter.
+      // Child: restore SIGPIPE, silence it and become dnhunter.
+      std::signal(SIGPIPE, SIG_DFL);
       std::freopen("/dev/null", "w", stdout);
       std::freopen("/dev/null", "w", stderr);
       execv(DNHUNTER_BIN, const_cast<char* const*>(argv.data()));
       _exit(127);
     }
-    ::usleep(grace_us);
-    const bool killed = ::kill(pid, SIGKILL) == 0;
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    return killed && WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    bool reaped = false;
+    const auto child_gone = [&] {
+      if (!reaped && ::waitpid(pid, &status, WNOHANG) == pid) reaped = true;
+      return reaped;
+    };
+    const auto nap = [] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    };
+
+    // The write end opens once the child has opened the read end.
+    int fd = -1;
+    while (fd < 0 && !child_gone() &&
+           std::chrono::steady_clock::now() < deadline) {
+      fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+      if (fd < 0) nap();
+    }
+    std::size_t fed = 0;
+    const auto feed_to = [&](std::size_t end) {
+      while (fd >= 0 && fed < end && !child_gone() &&
+             std::chrono::steady_clock::now() < deadline) {
+        const ssize_t n = ::write(fd, capture_.data() + fed, end - fed);
+        if (n > 0) {
+          fed += static_cast<std::size_t>(n);
+        } else if (n < 0 && errno == EAGAIN) {
+          pollfd p{fd, POLLOUT, 0};
+          ::poll(&p, 1, 2);
+        } else {
+          return;  // EPIPE: the child closed its end
+        }
+      }
+    };
+    feed_to(static_cast<std::size_t>(feed_fraction *
+                                     static_cast<double>(capture_.size())));
+
+    bool held = false;
+    while (fd >= 0 && !child_gone() &&
+           std::chrono::steady_clock::now() < deadline) {
+      if ((held = ready())) break;
+      nap();
+    }
+    if (held && !child_gone()) {
+      ::kill(pid, signo);
+      if (signo == SIGTERM) feed_to(capture_.size());
+    } else {
+      held = false;
+      if (!child_gone()) ::kill(pid, SIGKILL);
+    }
+    if (fd >= 0) ::close(fd);
+    if (!reaped) ::waitpid(pid, &status, 0);
+    std::signal(SIGPIPE, old_pipe);
+    fs::remove(fifo);
+    if (!held)
+      ADD_FAILURE() << "the kill condition never held while the child ran "
+                       "(fed " << fed << " of " << capture_.size()
+                    << " capture bytes)";
+    return held;
   }
 
-  /// kill -9 a spilling run after `grace_us`, then --resume at `jobs`
-  /// shards and require byte-identical flows-TSV. Some kills land before
-  /// the first window seals (0 recovered) and some after the run finished
-  /// (skipped) — both are valid; the byte-identity assertion is absolute
-  /// either way.
-  void kill_and_resume(std::size_t jobs, useconds_t grace_us) {
+  /// The run's manifest journals at least `n` complete (every shard
+  /// sealed, fsync'd) windows; n = 0 means the journal merely exists.
+  static std::function<bool()> sealed_at_least(const std::string& spill,
+                                               std::uint64_t n) {
+    return [spill, n] {
+      if (n == 0) return fs::exists(spill + "/manifest.dnhm");
+      return pipeline::scan_spill_dir(spill).complete_prefix >= n;
+    };
+  }
+
+  /// The run's periodic flight dump already records a window rotation.
+  static std::function<bool()> dump_has_window_dispatched(
+      const std::string& dump) {
+    return [dump] {
+      const auto threads = obs::read_binary_dump(dump);
+      if (!threads) return false;
+      for (const auto& thread : *threads)
+        for (const auto& event : thread.events)
+          if (event.kind == obs::TraceKind::kWindowDispatched) return true;
+      return false;
+    };
+  }
+
+  /// SIGKILLs a spilling run once `min_sealed` windows are durable (0: as
+  /// soon as the run has started), then --resume at `jobs` shards and
+  /// require byte-identical flows-TSV.
+  void kill_and_resume(std::size_t jobs, double feed_fraction,
+                       std::uint64_t min_sealed) {
     const std::string spill =
         (dir_ / ("spill_j" + std::to_string(jobs) + "_" +
-                 std::to_string(grace_us)))
+                 std::to_string(min_sealed)))
             .string();
     const std::string out = spill + ".tsv";
     fs::remove_all(spill);
-    const std::vector<std::string> args = {
-        "export",      pcap_,   "--out",       out,
-        "--jobs",      std::to_string(jobs),   "--spill-dir", spill,
-        "--window",    "300"};
-    if (!run_and_kill(args, grace_us)) {
-      GTEST_LOG_(INFO) << "child finished before the kill; skipping";
-      return;
-    }
+    int status = 0;
+    ASSERT_TRUE(run_until_then_signal(
+        {"--out", out, "--jobs", std::to_string(jobs), "--spill-dir", spill,
+         "--window", "300"},
+        feed_fraction, sealed_at_least(spill, min_sealed), SIGKILL, status));
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
     const auto resumed = run_cli(
         "export " + pcap_ + " --out " + out + " --jobs " +
         std::to_string(jobs) + " --spill-dir " + spill +
@@ -135,12 +246,16 @@ class RecoveryTest : public ::testing::Test {
 
   static fs::path dir_;
   static std::string pcap_;
+  static std::string capture_;  ///< the capture's bytes, fed through FIFOs
   static std::string baseline_;
+  static int fifo_count_;
 };
 
 fs::path RecoveryTest::dir_;
 std::string RecoveryTest::pcap_;
+std::string RecoveryTest::capture_;
 std::string RecoveryTest::baseline_;
+int RecoveryTest::fifo_count_ = 0;
 
 TEST_F(RecoveryTest, SpilledWindowedRunMatchesBaseline) {
   // No crash at all: the spilling, windowed, sharded run must already be
@@ -156,20 +271,20 @@ TEST_F(RecoveryTest, SpilledWindowedRunMatchesBaseline) {
 }
 
 TEST_F(RecoveryTest, KillNineThenResumeIsByteIdenticalJobs1) {
-  kill_and_resume(1, 30'000);
+  kill_and_resume(1, 0.5, 1);
 }
 
 TEST_F(RecoveryTest, KillNineThenResumeIsByteIdenticalJobs4) {
-  kill_and_resume(4, 30'000);
+  kill_and_resume(4, 0.5, 1);
 }
 
 TEST_F(RecoveryTest, KillNineThenResumeIsByteIdenticalJobs8) {
-  kill_and_resume(8, 30'000);
+  kill_and_resume(8, 0.5, 1);
 }
 
 TEST_F(RecoveryTest, KillNineEarlyAndLateStillResume) {
-  kill_and_resume(4, 5'000);    // likely before the first seal
-  kill_and_resume(4, 120'000);  // likely deep into the capture
+  kill_and_resume(4, 0.02, 0);  // as soon as the run starts
+  kill_and_resume(4, 0.9, 4);   // deep into the capture
 }
 
 TEST_F(RecoveryTest, GracefulDrainThenResumeIsByteIdentical) {
@@ -180,24 +295,10 @@ TEST_F(RecoveryTest, GracefulDrainThenResumeIsByteIdentical) {
   const std::string spill = (dir_ / "spill_drain").string();
   const std::string out = (dir_ / "drain.tsv").string();
   fs::remove_all(spill);
-  std::vector<std::string> args = {"export",      pcap_, "--out", out,
-                                   "--jobs",      "4",   "--spill-dir",
-                                   spill,         "--window", "300"};
-  std::vector<const char*> argv;
-  argv.push_back(DNHUNTER_BIN);
-  for (const auto& arg : args) argv.push_back(arg.c_str());
-  argv.push_back(nullptr);
-  const pid_t pid = fork();
-  if (pid == 0) {
-    std::freopen("/dev/null", "w", stdout);
-    std::freopen("/dev/null", "w", stderr);
-    execv(DNHUNTER_BIN, const_cast<char* const*>(argv.data()));
-    _exit(127);
-  }
-  ::usleep(40'000);
-  ::kill(pid, SIGTERM);
   int status = 0;
-  ::waitpid(pid, &status, 0);
+  ASSERT_TRUE(run_until_then_signal(
+      {"--out", out, "--jobs", "4", "--spill-dir", spill, "--window", "300"},
+      0.5, sealed_at_least(spill, 1), SIGTERM, status));
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0) << "drain must exit 0";
 
@@ -212,12 +313,11 @@ TEST_F(RecoveryTest, GracefulDrainThenResumeIsByteIdentical) {
 TEST_F(RecoveryTest, ResumeWithDifferentShardCountMatchesBaseline) {
   const std::string spill = (dir_ / "spill_reshard").string();
   const std::string out = (dir_ / "reshard.tsv").string();
-  if (!run_and_kill({"export", pcap_, "--out", out, "--jobs", "4",
-                     "--spill-dir", spill, "--window", "300"},
-                    40'000)) {
-    GTEST_LOG_(INFO) << "child finished before the kill; skipping";
-    return;
-  }
+  int status = 0;
+  ASSERT_TRUE(run_until_then_signal(
+      {"--out", out, "--jobs", "4", "--spill-dir", spill, "--window", "300"},
+      0.5, sealed_at_least(spill, 1), SIGKILL, status));
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
   const auto resumed = run_cli("export " + pcap_ + " --out " + out +
                                " --jobs 2 --spill-dir " + spill +
                                " --resume --window 300");
@@ -262,14 +362,15 @@ TEST_F(RecoveryTest, KillNineLeavesRecoverableFlightRecorderDump) {
   const std::string spill = (dir_ / "spill_trace_kill").string();
   const std::string out = (dir_ / "trace_kill.tsv").string();
   fs::remove_all(spill);
-  // 150ms grace: past the first 100ms refresh, so the recovered dump
-  // carries window-lifecycle events, not just the startup thread-starts.
-  if (!run_and_kill({"export", pcap_, "--out", out, "--jobs", "4",
-                     "--spill-dir", spill, "--window", "300"},
-                    150'000)) {
-    GTEST_LOG_(INFO) << "child finished before the kill; skipping";
-    return;
-  }
+  // Killed only once a refresh has written a dump carrying a window
+  // rotation, so the recovered dump must hold lifecycle events, not just
+  // the startup thread-starts.
+  int status = 0;
+  ASSERT_TRUE(run_until_then_signal(
+      {"--out", out, "--jobs", "4", "--spill-dir", spill, "--window", "300"},
+      0.5, dump_has_window_dispatched(spill + "/flight.dnht"), SIGKILL,
+      status));
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
   const std::string dump = spill + "/flight.dnht";
   ASSERT_TRUE(fs::exists(dump))
       << "flight.dnht missing after SIGKILL mid-run";
