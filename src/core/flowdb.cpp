@@ -21,19 +21,27 @@ FlowDatabase::FlowIndex FlowDatabase::add(TaggedFlow flow) {
   // shard's table), and the indexes key on the 32-bit id.
   flow.fqdn_id = table_->intern(flow.fqdn);
   flow.fqdn = table_->view(flow.fqdn_id);
-  if (flow.labeled()) {
-    fqdn_index_[flow.fqdn_id].push_back(index);
-    sld_index_[table_->intern(flow.second_level())].push_back(index);
-  }
-  server_index_[flow.key.server_ip].push_back(index);
-  port_index_[flow.key.server_port].push_back(index);
   flows_.push_back(std::move(flow));
   return index;
+}
+
+void FlowDatabase::catch_up() const {
+  for (; indexed_ < flows_.size(); ++indexed_) {
+    const TaggedFlow& flow = flows_[indexed_];
+    const auto index = static_cast<FlowIndex>(indexed_);
+    if (flow.labeled()) {
+      fqdn_index_[flow.fqdn_id].push_back(index);
+      sld_index_[flow.second_level()].push_back(index);
+    }
+    server_index_[flow.key.server_ip].push_back(index);
+    port_index_[flow.key.server_port].push_back(index);
+  }
 }
 
 std::vector<TaggedFlow> FlowDatabase::take_flows() {
   std::vector<TaggedFlow> out = std::move(flows_);
   flows_.clear();
+  indexed_ = 0;
   fqdn_index_.clear();
   sld_index_.clear();
   server_index_.clear();
@@ -43,9 +51,8 @@ std::vector<TaggedFlow> FlowDatabase::take_flows() {
 
 const std::vector<FlowDatabase::FlowIndex>& FlowDatabase::by_second_level(
     std::string_view sld) const {
-  const auto id = table_->find(sld);
-  if (!id) return kEmpty;
-  const auto it = sld_index_.find(*id);
+  catch_up();
+  const auto it = sld_index_.find(sld);
   return it == sld_index_.end() ? kEmpty : it->second;
 }
 
@@ -53,18 +60,21 @@ const std::vector<FlowDatabase::FlowIndex>& FlowDatabase::by_fqdn(
     std::string_view fqdn) const {
   const auto id = table_->find(fqdn);
   if (!id) return kEmpty;
+  catch_up();
   const auto it = fqdn_index_.find(*id);
   return it == fqdn_index_.end() ? kEmpty : it->second;
 }
 
 const std::vector<FlowDatabase::FlowIndex>& FlowDatabase::by_server(
     net::Ipv4Address server) const {
+  catch_up();
   const auto it = server_index_.find(server);
   return it == server_index_.end() ? kEmpty : it->second;
 }
 
 const std::vector<FlowDatabase::FlowIndex>& FlowDatabase::by_server_port(
     std::uint16_t port) const {
+  catch_up();
   const auto it = port_index_.find(port);
   return it == port_index_.end() ? kEmpty : it->second;
 }
@@ -114,6 +124,7 @@ std::vector<DomainId> FlowDatabase::fqdns_on_server(
 }
 
 std::vector<DomainId> FlowDatabase::distinct_fqdns() const {
+  catch_up();
   std::vector<DomainId> out;
   out.reserve(fqdn_index_.size());
   for (const auto& [id, _] : fqdn_index_) out.push_back(id);
@@ -132,6 +143,7 @@ std::vector<std::string_view> FlowDatabase::fqdn_views(
 
 std::vector<std::pair<std::uint16_t, std::size_t>>
 FlowDatabase::ports_by_flow_count() const {
+  catch_up();
   std::vector<std::pair<std::uint16_t, std::size_t>> out;
   out.reserve(port_index_.size());
   for (const auto& [port, flows] : port_index_)

@@ -8,7 +8,7 @@
 // DomainTable and flows carry a DomainId plus a string_view into the
 // table's arena. add() re-interns whatever text the caller supplies, so a
 // producer's fqdn view only has to stay valid across the add() call; the
-// indexes hash 32-bit ids instead of full strings.
+// fqdn index hashes 32-bit ids instead of full strings.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +70,16 @@ struct TaggedFlow {
   std::string_view second_level() const;
 };
 
-/// Append-only store with lazily usable secondary indexes. Indexes are
-/// built incrementally on add(); queries return stable flow indices.
+/// Append-only store with secondary indexes built at query time: add()
+/// only interns the label and appends the flow, and the first query after
+/// a run of adds catches the indexes up over the flows added since (in
+/// FlowIndex order, so every index list is ascending). A database that is
+/// only filled and drained — every stage of the sharded pipeline — never
+/// pays for an index. Queries return stable flow indices.
+///
+/// Const queries update the index state, so they are not safe for
+/// concurrent readers: share a database across threads only after one
+/// query has caught the indexes up and no add() follows, or guard it.
 class FlowDatabase {
  public:
   using FlowIndex = std::uint32_t;
@@ -85,9 +93,9 @@ class FlowDatabase {
   explicit FlowDatabase(std::shared_ptr<DomainTable> table)
       : table_{std::move(table)} {}
 
-  /// Adds a flow and indexes it: the flow's fqdn text is interned into
-  /// this database's DomainTable and its view/id rebound to the arena
-  /// copy. Returns the flow's index.
+  /// Adds a flow: the flow's fqdn text is interned into this database's
+  /// DomainTable and its view/id rebound to the arena copy. Indexes it at
+  /// the next query. Returns the flow's index.
   FlowIndex add(TaggedFlow flow);
 
   /// Moves every flow out and resets the database (indexes included).
@@ -150,17 +158,26 @@ class FlowDatabase {
       const;
 
  private:
+  /// Indexes flows_[indexed_, size()) into the four indexes.
+  void catch_up() const;
+
   std::shared_ptr<DomainTable> table_;
   std::vector<TaggedFlow> flows_;
+  // Query-time index state (mutable: const queries catch it up).
+  mutable std::size_t indexed_ = 0;  ///< flows_[0, indexed_) are indexed
   // dnh-lint: bounded(take_database) the database grows with its window
   // and is moved out whole on rotation; indexes die with the flows.
-  std::unordered_map<DomainId, std::vector<FlowIndex>> fqdn_index_;
+  mutable std::unordered_map<DomainId, std::vector<FlowIndex>> fqdn_index_;
+  /// Keyed by the 2LD's view into the arena copy of the flow's label (a
+  /// suffix of it), so 2LDs are never interned.
   // dnh-lint: bounded(take_database)
-  std::unordered_map<DomainId, std::vector<FlowIndex>> sld_index_;
+  mutable std::unordered_map<std::string_view, std::vector<FlowIndex>>
+      sld_index_;
   // dnh-lint: bounded(take_database)
-  std::unordered_map<net::Ipv4Address, std::vector<FlowIndex>> server_index_;
+  mutable std::unordered_map<net::Ipv4Address, std::vector<FlowIndex>>
+      server_index_;
   // dnh-lint: bounded(take_database)
-  std::map<std::uint16_t, std::vector<FlowIndex>> port_index_;
+  mutable std::map<std::uint16_t, std::vector<FlowIndex>> port_index_;
   static const std::vector<FlowIndex> kEmpty;
 };
 

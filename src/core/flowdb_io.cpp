@@ -1,6 +1,7 @@
 #include "core/flowdb_io.hpp"
 
 #include <charconv>
+#include <concepts>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -12,14 +13,59 @@ namespace {
 
 constexpr std::string_view kHeader = "#dnhunter-flows v1";
 
-std::string join_san(const std::vector<std::string>& san) {
-  std::string out;
-  for (const auto& name : san) {
-    if (!out.empty()) out += ',';
-    out += name;
+// Row formatting for write_flow_tsv: std::to_chars into one reused
+// buffer, written to the stream in large chunks.
+class RowWriter {
+ public:
+  explicit RowWriter(std::ostream& out) : out_{out} { buf_.reserve(kChunk); }
+  ~RowWriter() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
   }
-  return out;
-}
+
+  RowWriter(const RowWriter&) = delete;
+  RowWriter& operator=(const RowWriter&) = delete;
+
+  void text(std::string_view s) { buf_.append(s); }
+
+  /// One tab-separated row.
+  template <typename... Fields>
+  void row(const Fields&... fields) {
+    bool first = true;
+    ((first ? void() : buf_.push_back('\t'), first = false, put(fields)), ...);
+    buf_.push_back('\n');
+    if (buf_.size() >= kChunk) {
+      out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+      buf_.clear();
+    }
+  }
+
+ private:
+  void put(std::string_view s) { buf_.append(s); }
+  void put(std::integral auto value) {
+    char digits[24];
+    buf_.append(digits,
+                std::to_chars(digits, digits + sizeof digits, value).ptr);
+  }
+  void put(net::Ipv4Address ip) {
+    for (int i = 0; i < 4; ++i) {
+      if (i > 0) buf_.push_back('.');
+      put(static_cast<unsigned>(ip.octet(i)));
+    }
+  }
+  /// Comma-joined names. A comma goes only after non-empty text, so
+  /// leading empty names vanish, as they always have in this format.
+  void put(const std::vector<std::string>& names) {
+    const std::size_t field = buf_.size();
+    for (const auto& name : names) {
+      if (buf_.size() > field) buf_.push_back(',');
+      buf_.append(name);
+    }
+  }
+
+  static constexpr std::size_t kChunk = 1 << 16;
+  std::ostream& out_;
+  std::string buf_;
+};
 
 template <typename T>
 bool parse_int(std::string_view field, T& out) {
@@ -32,24 +78,25 @@ bool parse_int(std::string_view field, T& out) {
 }  // namespace
 
 std::size_t write_flow_tsv(const FlowDatabase& db, std::ostream& out) {
-  out << kHeader << '\n'
-      << "#client_ip\tserver_ip\tclient_port\tserver_port\ttransport\t"
-         "first_us\tlast_us\tpkts_c2s\tpkts_s2c\tbytes_c2s\tbytes_s2c\t"
-         "protocol\tfqdn\tdns_response_us\ttagged_at_start\tdpi_label\t"
-         "cert_cn\tcert_san\thas_certificate\n";
+  RowWriter w{out};
+  w.text(kHeader);
+  w.text(
+      "\n#client_ip\tserver_ip\tclient_port\tserver_port\ttransport\t"
+      "first_us\tlast_us\tpkts_c2s\tpkts_s2c\tbytes_c2s\tbytes_s2c\t"
+      "protocol\tfqdn\tdns_response_us\ttagged_at_start\tdpi_label\t"
+      "cert_cn\tcert_san\thas_certificate\n");
   for (const auto& flow : db.flows()) {
-    out << flow.key.client_ip.to_string() << '\t'
-        << flow.key.server_ip.to_string() << '\t' << flow.key.client_port
-        << '\t' << flow.key.server_port << '\t'
-        << (flow.key.transport == flow::Transport::kTcp ? "tcp" : "udp")
-        << '\t' << flow.first_packet.micros_since_epoch() << '\t'
-        << flow.last_packet.micros_since_epoch() << '\t' << flow.packets_c2s
-        << '\t' << flow.packets_s2c << '\t' << flow.bytes_c2s << '\t'
-        << flow.bytes_s2c << '\t' << static_cast<int>(flow.protocol) << '\t'
-        << flow.fqdn << '\t' << flow.dns_response_time.micros_since_epoch()
-        << '\t' << (flow.tagged_at_start ? 1 : 0) << '\t' << flow.dpi_label
-        << '\t' << flow.cert_cn << '\t' << join_san(flow.cert_san) << '\t'
-        << (flow.has_certificate ? 1 : 0) << '\n';
+    const std::string_view transport =
+        flow.key.transport == flow::Transport::kTcp ? "tcp" : "udp";
+    w.row(flow.key.client_ip, flow.key.server_ip, flow.key.client_port,
+          flow.key.server_port, transport,
+          flow.first_packet.micros_since_epoch(),
+          flow.last_packet.micros_since_epoch(), flow.packets_c2s,
+          flow.packets_s2c, flow.bytes_c2s, flow.bytes_s2c,
+          static_cast<int>(flow.protocol), flow.fqdn,
+          flow.dns_response_time.micros_since_epoch(),
+          flow.tagged_at_start ? 1 : 0, flow.dpi_label, flow.cert_cn,
+          flow.cert_san, flow.has_certificate ? 1 : 0);
   }
   return db.size();
 }

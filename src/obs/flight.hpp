@@ -63,7 +63,7 @@ enum class TraceKind : std::uint8_t {
   kWindowRecovered,    ///< a spilled window was replayed during --resume
   kFrameBatch,         ///< dispatcher progress marker (every ~512 frames/shard)
   kSniffProgress,      ///< sniffer progress marker (every 4096 frames)
-  kBackpressureWait,   ///< dispatcher blocked on a full shard ring
+  kBackpressureWait,   ///< dispatcher blocked on a full shard ring/arena
   kSourceOpen,         ///< a capture file / export stream was opened
   kSourceDone,         ///< a capture file / export stream was exhausted
   kExportDatagram,     ///< flow-export datagram consumed

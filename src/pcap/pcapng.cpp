@@ -219,15 +219,25 @@ ReadMetrics& read_metrics() {
 }
 
 // Streams every frame of an open reader through `sink`, reading into one
-// Frame whose buffer is recycled for the whole capture.
+// Frame whose buffer is recycled for the whole capture. The frame and
+// byte counters are added once per kCounterBatch frames and at the end.
 template <typename AnyReader>
 void pump_frames(AnyReader& reader,
                  const std::function<void(const Frame&)>& sink,
                  const CaptureReadOptions& options,
                  CaptureReadReport& report) {
+  constexpr std::uint64_t kCounterBatch = 256;
   ReadMetrics& metrics = read_metrics();
   obs::SampleGate gate{64};
   Frame frame;
+  std::uint64_t frames = 0;
+  std::uint64_t bytes = 0;
+  const auto flush_counters = [&] {
+    metrics.frames.add(frames);
+    metrics.bytes.add(bytes);
+    frames = 0;
+    bytes = 0;
+  };
   while (true) {
     if (options.stop && options.stop()) {
       report.stopped = true;
@@ -239,11 +249,12 @@ void pump_frames(AnyReader& reader,
       got = reader.next(frame);
     }
     if (!got) break;
-    metrics.frames.inc();
-    metrics.bytes.add(frame.data.size());
+    bytes += frame.data.size();
+    if (++frames == kCounterBatch) flush_counters();
     sink(frame);
     ++report.frames;
   }
+  flush_counters();
   report.error = reader.error();
 }
 

@@ -5,14 +5,17 @@
 #endif
 
 #include <algorithm>
-#include <thread>
 #include <array>
+#include <bit>
 #include <chrono>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <map>
 #include <queue>
+#include <thread>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "dns/message.hpp"
@@ -180,25 +183,113 @@ void canonicalize(std::vector<core::DnsEvent>& log) {
             [](const auto& a, const auto& b) { return canonical_less(a, b); });
 }
 
-// One message on a shard's frame ring. Control items (rotate/stop) ride
-// the same channel as frames, so a shard processes every frame dispatched
-// before a window boundary before it rotates — ordering for free.
-struct ShardedAnalyzer::Item {
-  enum class Kind : std::uint8_t { kFrame, kRecord, kRotate, kStop };
-  Kind kind = Kind::kFrame;
-  util::Timestamp ts;     ///< frame timestamp (kFrame) / arrival (kRecord)
-  util::Timestamp start;  ///< window bounds (kRotate/kStop)
+namespace {
+
+static_assert(std::is_trivially_copyable_v<flowexport::OrientedRecord>);
+
+/// kRotate/kStop payload.
+struct Control {
+  util::Timestamp start;  ///< window bounds
   util::Timestamp end;
-  flowexport::OrientedRecord record;  ///< kRecord payload
-  bool deliver = true;    ///< kStop: hand the final window to the sink?
+  bool deliver = true;  ///< kStop: hand the final window to the sink?
   /// kStop: may the final window be spilled/journaled? False on a
   /// drain-interrupted run — the flush window covers only the frames
   /// ingested before the drain, so journaling it as sealed would make a
   /// later --resume serve a truncated window where an uninterrupted run
   /// computes a full one.
   bool durable = true;
-  net::Bytes frame;       ///< recycled across ring laps (vector::assign)
 };
+
+// Arena size: 256 bytes per ring slot (the test corpora average under
+// 100 bytes a frame), and never under twice pcap's largest record, so a
+// classic-pcap frame always fits once the shard has caught up.
+constexpr std::size_t kArenaBytesPerSlot = 256;
+constexpr std::size_t kMinArenaBytes = 512 * 1024;
+
+// A shard's payload bytes: a power-of-two byte ring the dispatcher fills
+// in ring order and the worker frees by publishing how far it has
+// consumed (the Lamport pattern again, over bytes: the producer caches
+// the consumer's cursor and reloads it only when the arena looks full).
+// Positions are monotone byte counts; a payload never wraps — one that
+// would straddle the end starts at the next lap — so the worker always
+// reads it contiguous. The buffer is allocated on the shard's first item
+// and replaced only while the shard holds no payload, for a payload
+// longer than half of it (pcapng blocks reach 16 MiB).
+class PayloadArena {
+ public:
+  explicit PayloadArena(std::size_t queue_capacity)
+      : default_capacity_{std::max(
+            kMinArenaBytes,
+            std::bit_ceil(queue_capacity) * kArenaBytesPerSlot)} {}
+
+  // Producer side (the dispatcher thread).
+
+  /// True when `n` bytes need a larger buffer (or the first one).
+  bool needs_growth(std::size_t n) const noexcept {
+    return 2 * n > capacity_;
+  }
+
+  /// Reserves `n` contiguous bytes at the write position; false when the
+  /// consumer has not freed enough yet. Requires !needs_growth(n).
+  bool try_reserve(std::size_t n, std::uint64_t& offset) noexcept {
+    std::uint64_t start = write_;
+    if ((start & mask_) + n > capacity_) start = (start | mask_) + 1;
+    if (start + n - released_cache_ > capacity_) {
+      released_cache_ = released_.load(std::memory_order_acquire);
+      if (start + n - released_cache_ > capacity_) return false;
+    }
+    offset = start;
+    write_ = start + n;
+    return true;
+  }
+
+  /// Items up to position `end` are now in the ring.
+  void commit(std::uint64_t end) noexcept { committed_ = end; }
+  /// Forgets reservations past the last commit (their items were shed).
+  void drop_uncommitted() noexcept { write_ = committed_; }
+
+  /// True when the consumer has released every committed byte (the
+  /// caller must hold no uncommitted reservation).
+  bool drained() noexcept {
+    if (released_cache_ != committed_)
+      released_cache_ = released_.load(std::memory_order_acquire);
+    return released_cache_ == committed_;
+  }
+
+  /// Replaces the buffer with one that holds `n` twice over. Requires
+  /// drained(): the consumer reads no payload until the next item is
+  /// published, and its release of the last one happened before this.
+  void grow(std::size_t n) {
+    capacity_ = std::max(default_capacity_, std::bit_ceil(2 * n));
+    mask_ = capacity_ - 1;
+    // dnh-analyze: allow(alloc, once on a shard's first item, then only
+    // for a payload over half the arena; left uninitialised so pages are
+    // touched as payloads land)
+    data_.reset(new std::uint8_t[capacity_]);
+  }
+
+  // Either side, for a published item (or a reservation, producer side).
+  std::uint8_t* at(std::uint64_t offset) const noexcept {
+    return data_.get() + (offset & mask_);
+  }
+
+  /// Consumer side: every payload before position `end` has been read.
+  void release(std::uint64_t end) noexcept {
+    released_.store(end, std::memory_order_release);
+  }
+
+ private:
+  const std::size_t default_capacity_;
+  std::unique_ptr<std::uint8_t[]> data_;  ///< producer-written, see grow()
+  std::size_t capacity_ = 0;
+  std::uint64_t mask_ = 0;
+  std::uint64_t write_ = 0;           ///< producer: next free position
+  std::uint64_t committed_ = 0;       ///< producer: end of the last pushed item
+  std::uint64_t released_cache_ = 0;  ///< producer's view of released_
+  alignas(64) std::atomic<std::uint64_t> released_{0};  ///< consumer cursor
+};
+
+}  // namespace
 
 /// One shard's contribution to one merged window, canonically pre-sorted
 /// by the worker (the k-way merge's input invariant).
@@ -229,13 +320,13 @@ struct ShardedAnalyzer::MergeInbox {
 
 struct ShardedAnalyzer::Worker {
   Worker(const core::SnifferConfig& config, std::size_t queue_capacity)
-      : queue(queue_capacity), sniffer(config) {}
+      : arena(queue_capacity), queue(queue_capacity), sniffer(config) {}
 
-  /// Dispatcher-side staging buffer: frames accumulate here and enter the
-  /// ring kDispatchBatch at a time via try_produce_n, so the
-  /// acquire/release pair (and its cross-core cache-line bounce) is paid
-  /// per batch instead of per frame. Item buffers are recycled by
-  /// swapping with ring slots. Dispatcher-thread-owned.
+  /// Dispatcher-side staging: frame items accumulate here (their bytes
+  /// already in the arena) and enter the ring kDispatchBatch at a time
+  /// via try_push_n, so the acquire/release pair (and its cross-core
+  /// cache-line bounce) is paid per batch instead of per frame.
+  /// Dispatcher-thread-owned.
   struct Stage {
     std::array<Item, kDispatchBatch> items;
     std::size_t count = 0;
@@ -247,7 +338,9 @@ struct ShardedAnalyzer::Worker {
     bool congested = false;
   };
   Stage stage;
+  static_assert(sizeof(Item) == 24, "ring slots stay small PODs");
 
+  PayloadArena arena;  ///< payload bytes of the items in `stage`/`queue`
   SpscRing<Item> queue;
   core::Sniffer sniffer;             ///< worker-thread-owned after start
   std::uint64_t frames_processed = 0;  ///< worker-owned; read after join
@@ -584,7 +677,6 @@ void ShardedAnalyzer::on_frame(net::BytesView frame, util::Timestamp ts) {
       broadcast_rotation(window_start_, window_start_ + config_.window);
   }
   ++frames_dispatched_;
-  pipeline_metrics().frames_dispatched.inc();
   if ((frames_dispatched_ & 4095) == 0)
     routes_gauge_.set(static_cast<std::int64_t>(routes_.size()));
   dispatch_frame(frame, ts);
@@ -616,32 +708,73 @@ void ShardedAnalyzer::on_export_record(const flowexport::ExportRecord& record,
   ++records_dispatched_;
   pipeline_metrics().records_dispatched.inc();
 
-  Item item;
-  item.kind = Item::Kind::kRecord;
-  item.ts = arrival;
-  item.record = orienter_.orient(record);
+  const flowexport::OrientedRecord oriented = orienter_.orient(record);
   // Route by the oriented client: the shard whose resolver replica holds
   // this client's DNS history — the same reduction route_client feeds
   // for DNS frames, so records and the responses that label them always
   // meet on one shard. Records are per-flow (not per-packet), so the
   // lossless control-item push is cheap enough.
-  push_control(shard_of(item.record.key.client_ip, config_.shards),
-               std::move(item));
+  push_control(shard_of(oriented.key.client_ip, config_.shards),
+               Item::Kind::kRecord, arrival, &oriented, sizeof oriented);
 }
 
+// dnh-analyze: hot
 void ShardedAnalyzer::dispatch_frame(net::BytesView frame,
                                      util::Timestamp ts) {
+  // dnh-lint: hot
   PipelineMetrics& m = pipeline_metrics();
   obs::SpanTimer span{m.dispatch_ns, dispatch_gate_};
   const std::size_t shard = route_frame(frame, ts);
+  std::uint64_t offset = 0;
+  std::uint8_t* payload = reserve_payload(shard, frame.size(), true, offset);
+  if (payload == nullptr) return;  // shed (kDrop), already counted
+  // The frame's one copy: straight into the arena the worker reads.
+  if (!frame.empty()) std::memcpy(payload, frame.data(), frame.size());
   Worker::Stage& stage = workers_[shard]->stage;
-  Item& staged = stage.items[stage.count++];
-  staged.kind = Item::Kind::kFrame;
-  staged.ts = ts;
-  staged.frame.assign(frame.begin(), frame.end());  // recycled capacity
+  stage.items[stage.count++] = Item{
+      Item::Kind::kFrame, static_cast<std::uint32_t>(frame.size()), offset,
+      ts};
   if (stage.count == kDispatchBatch ||
       (stage.congested && config_.backpressure == BackpressurePolicy::kDrop))
     flush_stage(shard);
+}
+
+std::uint8_t* ShardedAnalyzer::reserve_payload(std::size_t shard,
+                                               std::size_t n, bool frame,
+                                               std::uint64_t& offset) {
+  PayloadArena& arena = workers_[shard]->arena;
+  if (!arena.needs_growth(n) && arena.try_reserve(n, offset))
+    return arena.at(offset);
+  // The arena is full, or too small for `n`. Staged payloads can be freed
+  // only once the worker sees them, so publish them first.
+  flush_stage(shard);
+  const auto fits = [&] {
+    if (!arena.needs_growth(n)) return arena.try_reserve(n, offset);
+    if (!arena.drained()) return false;
+    arena.grow(n);
+    return arena.try_reserve(n, offset);
+  };
+  if (fits()) return arena.at(offset);
+  if (frame && config_.backpressure == BackpressurePolicy::kDrop) {
+    // Shed at arrival, like a frame that meets a full ring.
+    ++dispatch_[shard].dropped;
+    pipeline_metrics().frames_dropped.inc();
+    return nullptr;
+  }
+  // Lossless wait: frames under kBlock (one blocked push per stall, as at
+  // a full ring) and control items under every policy.
+  if (frame) {
+    ++dispatch_[shard].blocked;
+    pipeline_metrics().blocked_pushes.inc();
+  }
+  obs::trace_event(obs::TraceStage::kDispatch,
+                   obs::TraceKind::kBackpressureWait, rotations_,
+                   static_cast<unsigned>(shard), n);
+  unsigned spins = 0;
+  do {
+    backoff(spins);
+  } while (!fits());
+  return arena.at(offset);
 }
 
 void ShardedAnalyzer::flush_stage(std::size_t shard) {
@@ -650,21 +783,16 @@ void ShardedAnalyzer::flush_stage(std::size_t shard) {
   if (stage.count == 0) return;
   PipelineMetrics& m = pipeline_metrics();
   DispatchCounters& counters = dispatch_[shard];
+  // Per-batch, not per-frame: the process-wide counter catches up here.
+  m.frames_dispatched.add(frames_dispatched_ - frames_counted_);
+  frames_counted_ = frames_dispatched_;
 
-  std::size_t offset = 0;
-  const auto produce = [&] {
+  const auto produce = [&](std::size_t from) {
     // dnh-lint: ring-producer (dispatcher thread owns every produce side)
-    return worker.queue.try_produce_n(
-        stage.count - offset, [&](Item& slot, std::size_t i) {
-          Item& staged = stage.items[offset + i];
-          slot.kind = staged.kind;
-          slot.ts = staged.ts;
-          // Swap keeps BOTH buffer pools warm: the ring slot's recycled
-          // capacity returns to the stage for the next frame.
-          std::swap(slot.frame, staged.frame);
-        });
+    return worker.queue.try_push_n(stage.items.data() + from,
+                                   stage.count - from);
   };
-  offset = produce();
+  std::size_t offset = produce(0);
   stage.congested = offset < stage.count;
   if (offset < stage.count) {
     if (config_.backpressure == BackpressurePolicy::kDrop) {
@@ -680,10 +808,16 @@ void ShardedAnalyzer::flush_stage(std::size_t shard) {
       unsigned spins = 0;
       while (offset < stage.count) {
         backoff(spins);
-        offset += produce();
+        offset += produce(offset);
       }
     }
   }
+  // The shed frames' bytes go back to the arena with their reservations.
+  if (offset > 0) {
+    const Item& last = stage.items[offset - 1];
+    worker.arena.commit(last.offset + last.length);
+  }
+  worker.arena.drop_uncommitted();
   // Progress marker once per ~512 enqueued frames per shard: frequent
   // enough that a stall dump shows the dispatcher was alive moments
   // before, rare enough not to evict window-lifecycle events.
@@ -694,31 +828,43 @@ void ShardedAnalyzer::flush_stage(std::size_t shard) {
   counters.enqueued += offset;
   stage.count = 0;
   heartbeats_.beat(dispatch_hb_);
-  const std::size_t depth = worker.queue.size();
+  // The producer's own view of the occupancy: no load of the consumer's
+  // cursor beyond the ones the ring already makes when it looks full.
+  const std::size_t depth = worker.queue.observed_depth();
   if (depth > counters.high_water) counters.high_water = depth;
 }
 
-void ShardedAnalyzer::push_control(std::size_t shard, Item&& item) {
+void ShardedAnalyzer::push_control(std::size_t shard, Item::Kind kind,
+                                   util::Timestamp ts, const void* payload,
+                                   std::size_t length) {
   // Staged frames precede the control item in its shard's ring: rotation
   // and stop ordering relies on the frame channel being FIFO end to end.
-  flush_stage(shard);
   // Control messages are lossless under every backpressure policy:
   // dropping a rotation would desynchronize the merge sequence.
+  flush_stage(shard);
+  std::uint64_t offset = 0;
+  std::memcpy(reserve_payload(shard, length, false, offset), payload, length);
   Worker& worker = *workers_[shard];
-  unsigned spins = 0;
+  Item item{kind, static_cast<std::uint32_t>(length), offset, ts};
   // dnh-lint: ring-producer (control items ride the dispatcher thread too)
-  while (!worker.queue.try_push(std::move(item))) backoff(spins);
+  if (worker.queue.try_push_n(&item, 1) == 0) {
+    obs::trace_event(obs::TraceStage::kDispatch,
+                     obs::TraceKind::kBackpressureWait, rotations_,
+                     static_cast<unsigned>(shard), 1);
+    unsigned spins = 0;
+    do {
+      backoff(spins);
+      // dnh-lint: ring-producer (same dispatcher-thread push, retried)
+    } while (worker.queue.try_push_n(&item, 1) == 0);
+  }
+  worker.arena.commit(item.offset + item.length);
 }
 
 void ShardedAnalyzer::broadcast_rotation(util::Timestamp start,
                                          util::Timestamp end) {
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    Item item;
-    item.kind = Item::Kind::kRotate;
-    item.start = start;
-    item.end = end;
-    push_control(i, std::move(item));
-  }
+  const Control control{start, end};
+  for (std::size_t i = 0; i < config_.shards; ++i)
+    push_control(i, Item::Kind::kRotate, start, &control, sizeof control);
   // The WindowTraceId is the rotation's sequence number: every shard's
   // worker assigns exactly this seq when it seals its slice, so the
   // dispatched/sealed/spilled/ingested/emitted events all correlate.
@@ -838,39 +984,55 @@ void ShardedAnalyzer::worker_loop(std::size_t index) {
     }
     inbox_->cv.notify_one();
   };
+  std::uint64_t consumed_end = 0;  ///< arena position past the last item
   while (running) {
     // Batch drain: one acquire/release pair covers up to kConsumeBatch
     // items. Safe even around control items — kStop is the last item its
     // ring will ever carry, so nothing can follow it within a batch.
     // dnh-lint: ring-consumer (this worker thread owns the consume side)
     const std::size_t got =
-        worker.queue.try_consume_n(kConsumeBatch, [&](Item& item,
+        worker.queue.try_consume_n(kConsumeBatch, [&](const Item& item,
                                                       std::size_t) {
+          // dnh-lint: hot
+          const std::uint8_t* payload = worker.arena.at(item.offset);
+          consumed_end = item.offset + item.length;
           switch (item.kind) {
             case Item::Kind::kFrame: {
               obs::SpanTimer span{pipeline_metrics().sniff_ns,
                                   worker.sniff_gate};
-              worker.sniffer.on_frame(item.frame, item.ts);
+              worker.sniffer.on_frame(net::BytesView{payload, item.length},
+                                      item.ts);
               ++worker.frames_processed;
               break;
             }
-            case Item::Kind::kRecord:
-              worker.sniffer.on_export_record(item.record, item.ts);
+            case Item::Kind::kRecord: {
+              flowexport::OrientedRecord record;
+              std::memcpy(&record, payload, sizeof record);
+              worker.sniffer.on_export_record(record, item.ts);
               break;
-            case Item::Kind::kRotate:
+            }
+            case Item::Kind::kRotate: {
+              Control control;
+              std::memcpy(&control, payload, sizeof control);
               // Open flows stay live in the flow table across rotations,
               // exactly like LiveAnalyzer: a flow lands in the window it
               // completes in.
-              emit(false, true, true, item.start, item.end);
+              emit(false, true, true, control.start, control.end);
               break;
-            case Item::Kind::kStop:
+            }
+            case Item::Kind::kStop: {
+              Control control;
+              std::memcpy(&control, payload, sizeof control);
               worker.sniffer.finish();
-              emit(true, item.deliver, item.durable, item.start, item.end);
+              emit(true, control.deliver, control.durable, control.start,
+                   control.end);
               running = false;
               break;
+            }
           }
         });
     if (got > 0) {
+      worker.arena.release(consumed_end);  // their payloads are done with
       spins = 0;
       heartbeats_.beat(worker_hb_[index]);
     } else {
@@ -1116,19 +1278,16 @@ void ShardedAnalyzer::finish() {
       end = last_ts_;
     }
   }
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    Item item;
-    item.kind = Item::Kind::kStop;
-    item.start = start;
-    item.end = end;
-    // An empty run delivers no window, matching LiveAnalyzer; the stop
-    // window still flows through the merge stage to terminate it. A
-    // drained run's flush window is delivered but never journaled: it is
-    // truncated at the drain point, and --resume must recompute it.
-    item.deliver = started_;
-    item.durable = !draining_;
-    push_control(i, std::move(item));
-  }
+  // An empty run delivers no window, matching LiveAnalyzer; the stop
+  // window still flows through the merge stage to terminate it. A
+  // drained run's flush window is delivered but never journaled: it is
+  // truncated at the drain point, and --resume must recompute it.
+  const Control stop{start, end, started_, !draining_};
+  for (std::size_t i = 0; i < config_.shards; ++i)
+    push_control(i, Item::Kind::kStop, start, &stop, sizeof stop);
+  pipeline_metrics().frames_dispatched.add(frames_dispatched_ -
+                                           frames_counted_);
+  frames_counted_ = frames_dispatched_;
   for (auto& worker : workers_) worker->thread.join();
   merge_thread_.join();
   // The watchdog keeps running until after the joins — a hang in the

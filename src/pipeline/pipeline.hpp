@@ -213,7 +213,8 @@ class ShardedAnalyzer {
   ShardedAnalyzer(const ShardedAnalyzer&) = delete;
   ShardedAnalyzer& operator=(const ShardedAnalyzer&) = delete;
 
-  /// Dispatches one link-layer frame (copied into a recycled ring slot).
+  /// Dispatches one link-layer frame (copied once, into the routed
+  /// shard's payload arena).
   /// Frames must arrive in non-decreasing timestamp order for the
   /// determinism guarantee to hold (same contract as pcap replay).
   void on_frame(net::BytesView frame, util::Timestamp ts);
@@ -271,7 +272,18 @@ class ShardedAnalyzer {
   static std::size_t shard_for(net::BytesView frame, std::size_t shards);
 
  private:
-  struct Item;
+  // One message on a shard's ring: a 24-byte POD. Its payload — the frame
+  // bytes, an oriented export record, or a rotate/stop control block —
+  // sits in the shard's payload arena at [offset, offset + length).
+  // Control items ride the same channel as frames, so a shard processes
+  // every frame dispatched before a window boundary before it rotates.
+  struct Item {
+    enum class Kind : std::uint8_t { kFrame, kRecord, kRotate, kStop };
+    Kind kind = Kind::kFrame;
+    std::uint32_t length = 0;  ///< payload bytes
+    std::uint64_t offset = 0;  ///< payload position in the shard's arena
+    util::Timestamp ts;  ///< frame timestamp (kFrame) / arrival (kRecord)
+  };
   struct Worker;
   struct ShardWindow;
 
@@ -290,10 +302,19 @@ class ShardedAnalyzer {
   // (sampled_peaks_).
   std::size_t route_frame(net::BytesView frame, util::Timestamp ts);
   void dispatch_frame(net::BytesView frame, util::Timestamp ts);
+  /// Reserves `n` payload bytes in shard's arena and returns where to
+  /// write them (`offset` is the item's). When the arena is full, a frame
+  /// (`frame`) is shed under kDrop (nullptr, counted) and waited for
+  /// under kBlock; a control item always waits.
+  std::uint8_t* reserve_payload(std::size_t shard, std::size_t n, bool frame,
+                                std::uint64_t& offset);
   /// Drains shard's dispatcher-side staging buffer into its ring in one
   /// batched produce (dropping or blocking per the backpressure policy).
   void flush_stage(std::size_t shard);
-  void push_control(std::size_t shard, Item&& item);
+  /// Pushes a lossless item (record, rotate, stop) whose payload is the
+  /// `length` bytes at `payload`, after every frame staged before it.
+  void push_control(std::size_t shard, Item::Kind kind, util::Timestamp ts,
+                    const void* payload, std::size_t length);
   void broadcast_rotation(util::Timestamp start, util::Timestamp end);
   void worker_loop(std::size_t index);
   void merge_loop();
@@ -335,6 +356,9 @@ class ShardedAnalyzer {
   flowexport::RecordOrienter orienter_;
   std::uint64_t routed_packets_ = 0;
   std::uint64_t frames_dispatched_ = 0;
+  /// frames_dispatched_ as last added to the process-wide counter (which
+  /// is fed once per flush, not once per frame).
+  std::uint64_t frames_counted_ = 0;
   std::uint64_t records_dispatched_ = 0;
   bool started_ = false;
   util::Timestamp window_start_;  ///< current boundary (windowed mode)

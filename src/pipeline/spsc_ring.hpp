@@ -10,9 +10,9 @@
 //  - Each side caches the other side's cursor (head_cache_/tail_cache_) so
 //    the common case touches a single shared atomic, not two; the caches
 //    live on their owner's cache line (alignas) to avoid false sharing.
-//  - try_produce()/try_consume() expose the slot in place, so a frame can
-//    be copied INTO the ring's recycled buffer (vector::assign reuses
-//    capacity) instead of allocating a fresh buffer per frame.
+//  - try_produce()/try_consume() expose the slot in place, so a consumer
+//    can read an element without moving it out. The pipeline's slots are
+//    small PODs; frame bytes travel in a per-shard byte arena instead.
 //
 //  - Batch variants (try_push_n/try_produce_n, try_pop_n/try_consume_n)
 //    move several elements per acquire/release pair, amortizing the
@@ -64,14 +64,7 @@ class SpscRing {
   /// (recycled buffers), which `fill` may exploit. False when full.
   template <typename Fill>
   bool try_produce(Fill&& fill) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_cache_ > mask_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail - head_cache_ > mask_) return false;
-    }
-    fill(buffer_[tail & mask_]);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
+    return try_produce_n(1, [&](T& slot, std::size_t) { fill(slot); }) == 1;
   }
 
   /// Producer: batch try_produce. Invokes `fill(slot, i)` for i in
@@ -84,7 +77,8 @@ class SpscRing {
   std::size_t try_produce_n(std::size_t n, Fill&& fill) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     std::uint64_t free = mask_ + 1 - (tail - head_cache_);
-    if (free < n) {
+    const bool refresh = free < n;
+    if (refresh) {
       head_cache_ = head_.load(std::memory_order_acquire);
       free = mask_ + 1 - (tail - head_cache_);
     }
@@ -93,6 +87,8 @@ class SpscRing {
       fill(buffer_[(tail + i) & mask_], i);
     if (count > 0)
       tail_.store(tail + count, std::memory_order_release);
+    if (refresh)
+      observed_depth_ = static_cast<std::size_t>(tail + count - head_cache_);
     return count;
   }
 
@@ -157,6 +153,13 @@ class SpscRing {
     return tail >= head ? static_cast<std::size_t>(tail - head) : 0;
   }
 
+  /// Producer: the occupancy the producer last saw, taken each time it
+  /// reloads the consumer cursor (the ring looked too full for a
+  /// produce) and counting what that produce added. Reads no shared
+  /// cursor, so it costs nothing; a depth peak between two reloads goes
+  /// unseen.
+  std::size_t observed_depth() const noexcept { return observed_depth_; }
+
   std::size_t capacity() const noexcept { return mask_ + 1; }
 
  private:
@@ -165,6 +168,7 @@ class SpscRing {
   alignas(64) std::atomic<std::uint64_t> head_{0};  ///< consumer cursor
   alignas(64) std::atomic<std::uint64_t> tail_{0};  ///< producer cursor
   alignas(64) std::uint64_t head_cache_ = 0;  ///< producer's view of head_
+  std::size_t observed_depth_ = 0;            ///< producer-owned
   alignas(64) std::uint64_t tail_cache_ = 0;  ///< consumer's view of tail_
 };
 

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <vector>
+
 #include "core/flowdb.hpp"
 #include "core/policy.hpp"
 #include "core/sniffer.hpp"
 #include "dns/message.hpp"
 #include "packet/build.hpp"
+#include "util/rng.hpp"
 
 namespace dnh::core {
 namespace {
@@ -92,6 +98,156 @@ TEST(FlowDb, UnlabeledFlowsNotInNameIndexes) {
   db.add(make_flow("", Ipv4Address{1, 1, 1, 1}));
   EXPECT_EQ(db.by_second_level("").size(), 0u);
   EXPECT_TRUE(db.distinct_fqdns().empty());
+}
+
+// ------------------------------------------------- FlowDbDifferential
+
+// The indexes are built at query time. This differential drives random
+// interleavings of add(), take_flows() (with re-adds, as canonicalize and
+// the merge do) and every query, and checks each answer against indexes
+// rebuilt eagerly from flows() at that query point.
+class FlowDbDifferential : public ::testing::Test {
+ protected:
+  using Index = std::vector<FlowDatabase::FlowIndex>;
+
+  template <typename Pred>
+  static Index eager(const FlowDatabase& db, Pred pred) {
+    Index out;
+    for (std::size_t i = 0; i < db.size(); ++i)
+      if (pred(db.flows()[i])) out.push_back(static_cast<FlowDatabase::FlowIndex>(i));
+    return out;
+  }
+
+  template <typename T>
+  static std::vector<T> sorted_unique(std::vector<T> v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return v;
+  }
+
+  static std::vector<Ipv4Address> servers_of(const FlowDatabase& db,
+                                             const Index& index) {
+    std::vector<Ipv4Address> out;
+    for (const auto i : index) out.push_back(db.flows()[i].key.server_ip);
+    return sorted_unique(std::move(out));
+  }
+
+  // One query of each kind, with keys drawn from the pools (absent keys
+  // included), checked against the eager rebuild.
+  void check_queries(const FlowDatabase& db, util::Rng& rng) {
+    const std::string_view fqdn = pick(kNames, rng);
+    const std::string_view sld = pick(kSlds, rng);
+    const Ipv4Address server = pick(kServers, rng);
+    const std::uint16_t port = pick(kPorts, rng);
+
+    const Index want_fqdn = eager(db, [&](const TaggedFlow& f) {
+      return f.labeled() && f.fqdn == fqdn;
+    });
+    const Index want_sld = eager(db, [&](const TaggedFlow& f) {
+      return f.labeled() && f.second_level() == sld;
+    });
+    const Index want_server = eager(db, [&](const TaggedFlow& f) {
+      return f.key.server_ip == server;
+    });
+    const Index want_port = eager(db, [&](const TaggedFlow& f) {
+      return f.key.server_port == port;
+    });
+    // Alternate which query catches the indexes up first.
+    switch (rng.uniform(0, 8)) {
+      case 0: EXPECT_EQ(db.by_fqdn(fqdn), want_fqdn) << fqdn; break;
+      case 1: EXPECT_EQ(db.by_second_level(sld), want_sld) << sld; break;
+      case 2: EXPECT_EQ(db.by_server(server), want_server); break;
+      case 3: EXPECT_EQ(db.by_server_port(port), want_port); break;
+      case 4:
+        EXPECT_EQ(db.servers_for_fqdn(fqdn), servers_of(db, want_fqdn));
+        break;
+      case 5:
+        EXPECT_EQ(db.servers_for_second_level(sld), servers_of(db, want_sld));
+        break;
+      case 6: {
+        std::vector<DomainId> want;
+        for (const auto i : want_server)
+          if (db.flows()[i].labeled()) want.push_back(db.flows()[i].fqdn_id);
+        EXPECT_EQ(db.fqdns_on_server(server), sorted_unique(want));
+        break;
+      }
+      case 7: {
+        std::vector<DomainId> want;
+        for (const auto& f : db.flows())
+          if (f.labeled()) want.push_back(f.fqdn_id);
+        EXPECT_EQ(db.distinct_fqdns(), sorted_unique(want));
+        break;
+      }
+      default: {
+        std::map<std::uint16_t, std::size_t> counts;
+        for (const auto& f : db.flows()) ++counts[f.key.server_port];
+        std::vector<std::pair<std::uint16_t, std::size_t>> want(
+            counts.begin(), counts.end());
+        std::stable_sort(want.begin(), want.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.second > b.second;
+                         });
+        EXPECT_EQ(db.ports_by_flow_count(), want);
+        break;
+      }
+    }
+    // After any query every index is current: all four answer right.
+    EXPECT_EQ(db.by_fqdn(fqdn), want_fqdn) << fqdn;
+    EXPECT_EQ(db.by_second_level(sld), want_sld) << sld;
+    EXPECT_EQ(db.by_server(server), want_server);
+    EXPECT_EQ(db.by_server_port(port), want_port);
+  }
+
+  template <typename T, std::size_t N>
+  static T pick(const std::array<T, N>& pool, util::Rng& rng) {
+    return pool[rng.uniform(0, N - 1)];
+  }
+
+  // Labels share 2LDs, include a 2LD used as a label itself, names whose
+  // 2LD is the whole name, and the empty (unlabeled) label.
+  static constexpr std::array<std::string_view, 9> kNames{
+      "", "www.zynga.com", "static.zynga.com", "zynga.com",
+      "mail.google.com", "scholar.google.com", "localhost",
+      "a.b.example.co.uk", "absent.example.org"};
+  static constexpr std::array<std::string_view, 7> kSlds{
+      "", "zynga.com", "google.com", "localhost", "example.co.uk",
+      "co.uk", "absent.org"};
+  static constexpr std::array<Ipv4Address, 5> kServers{
+      Ipv4Address{1, 1, 1, 1}, Ipv4Address{2, 2, 2, 2},
+      Ipv4Address{3, 3, 3, 3}, Ipv4Address{4, 4, 4, 4},
+      Ipv4Address{9, 9, 9, 9}};
+  static constexpr std::array<std::uint16_t, 5> kPorts{80, 443, 53, 6881,
+                                                       65535};
+};
+
+TEST_F(FlowDbDifferential, RandomInterleavingsMatchEagerIndexes) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Rng rng{seed};
+    FlowDatabase db;
+    for (int step = 0; step < 300; ++step) {
+      const std::uint64_t op = rng.uniform(0, 99);
+      if (op < 55) {
+        // The last name of the pool is never added: an absent key.
+        TaggedFlow flow = make_flow(kNames[rng.uniform(0, kNames.size() - 2)],
+                                    pick(kServers, rng), pick(kPorts, rng));
+        const std::size_t before = db.size();
+        EXPECT_EQ(db.add(std::move(flow)), before);
+      } else if (op < 58) {
+        // take_flows, then re-add some of them in a shuffled order, as
+        // canonicalize() and the k-way merge do.
+        std::vector<TaggedFlow> taken = db.take_flows();
+        EXPECT_EQ(db.size(), 0u);
+        EXPECT_TRUE(db.distinct_fqdns().empty());
+        for (std::size_t i = taken.size(); i > 1; --i)
+          std::swap(taken[i - 1], taken[rng.uniform(0, i - 1)]);
+        const std::size_t keep = rng.uniform(0, taken.size());
+        for (std::size_t i = 0; i < keep; ++i) db.add(std::move(taken[i]));
+      } else {
+        check_queries(db, rng);
+      }
+    }
+    check_queries(db, rng);
+  }
 }
 
 // --------------------------------------------------------------- Policy
@@ -624,6 +780,53 @@ TEST(FlowDbIo, RoundTripsEveryField) {
   EXPECT_FALSE(b.labeled());
   EXPECT_EQ(b.key.transport, flow::Transport::kUdp);
   EXPECT_TRUE(b.cert_san.empty());
+}
+
+// Pins the writer's exact bytes: every field filled, a SAN list whose
+// leading empty name adds no comma, empty labels, port 65535, zero and
+// negative timestamps, extreme counters, has_certificate 0 and 1.
+TEST(FlowDbIo, WriterBytesArePinned) {
+  FlowDatabase db;
+  TaggedFlow full = full_flow();
+  full.key.client_port = 65535;
+  full.cert_san = {"", "*.google.com", "google.com"};
+  db.add(full);
+  TaggedFlow bare;
+  bare.key.client_ip = Ipv4Address{10, 0, 0, 4};
+  bare.key.server_ip = Ipv4Address{2, 3, 4, 5};
+  bare.key.server_port = 65535;
+  bare.key.transport = flow::Transport::kUdp;
+  db.add(bare);
+  TaggedFlow extreme;
+  extreme.key.client_ip = Ipv4Address{255, 255, 255, 255};
+  extreme.key.server_ip = Ipv4Address{0, 0, 0, 0};
+  extreme.key.client_port = 1;
+  extreme.first_packet = Timestamp::from_micros(-1);
+  extreme.last_packet = Timestamp::from_micros(9223372036854775807);
+  extreme.packets_c2s = 18446744073709551615ULL;
+  extreme.bytes_s2c = 18446744073709551615ULL;
+  extreme.protocol = flow::ProtocolClass::kOther;
+  extreme.cert_cn = "cn";
+  extreme.has_certificate = true;
+  db.add(extreme);
+
+  std::ostringstream out;
+  EXPECT_EQ(write_flow_tsv(db, out), 3u);
+  EXPECT_EQ(out.str(),
+            "#dnhunter-flows v1\n"
+            "#client_ip\tserver_ip\tclient_port\tserver_port\ttransport\t"
+            "first_us\tlast_us\tpkts_c2s\tpkts_s2c\tbytes_c2s\tbytes_s2c\t"
+            "protocol\tfqdn\tdns_response_us\ttagged_at_start\tdpi_label\t"
+            "cert_cn\tcert_san\thas_certificate\n"
+            "10.0.0.3\t93.184.216.34\t65535\t443\ttcp\t1301616000123456\t"
+            "1301616003123456\t7\t9\t1234\t56789\t2\tmail.google.com\t"
+            "1301616000000001\t1\tmail.google.com\t*.google.com\t"
+            "*.google.com,google.com\t1\n"
+            "10.0.0.4\t2.3.4.5\t0\t65535\tudp\t0\t0\t0\t0\t0\t0\t0\t\t"
+            "0\t0\t\t\t\t0\n"
+            "255.255.255.255\t0.0.0.0\t1\t0\ttcp\t-1\t9223372036854775807\t"
+            "18446744073709551615\t0\t0\t18446744073709551615\t5\t\t0\t0\t"
+            "\tcn\t\t1\n");
 }
 
 TEST(FlowDbIo, IndexesRebuiltOnLoad) {

@@ -407,7 +407,14 @@ TEST(ObsExport, JsonlExporterWritesWellFormedLines) {
     options.interval = util::Duration::micros(5000);  // 5ms cadence
     obs::JsonlExporter exporter{registry, options};
     ASSERT_TRUE(exporter.start());
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    // Wait for the initial line and at least one tick (polled, with a
+    // deadline only as a guard against a hang).
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (exporter.lines_written() < 2 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    ASSERT_GE(exporter.lines_written(), 2u);
     c.add(5);
     exporter.stop();
     EXPECT_GE(exporter.lines_written(), 3u);  // initial + ticks + final

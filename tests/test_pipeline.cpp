@@ -23,6 +23,7 @@
 #include "core/live.hpp"
 #include "core/sniffer.hpp"
 #include "faultinject/faultinject.hpp"
+#include "flowexport/wire.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "packet/build.hpp"
@@ -596,6 +597,19 @@ TEST_F(PipelineTest, WindowedRotationMatchesLiveAnalyzer) {
 
 // ----------------------------------------------------------- backpressure
 
+// Polls `done` until it holds or a generous deadline passes (a safety net
+// against a hang, not a timing assumption); returns whether it held.
+template <typename Done>
+bool wait_until(Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
 TEST(PipelineBackpressure, DropPolicyShedsAndCountsFrames) {
   // Hold both workers hostage until dispatch is done: every frame beyond
   // the queue capacity MUST be shed, deterministically.
@@ -661,9 +675,12 @@ TEST(PipelineBackpressure, BlockPolicyIsLosslessAndCountsStalls) {
   pipeline::ShardedAnalyzer analyzer{config, nullptr};
 
   // The dispatcher will block on the third frame; release the worker from
-  // a helper thread once that happens.
+  // a helper thread once it has counted that stall.
+  const obs::Counter blocked =
+      obs::Registry::global().counter("dnh_pipeline_blocked_pushes_total");
+  const std::uint64_t blocked_before = blocked.value();
   std::thread releaser{[&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_TRUE(wait_until([&] { return blocked.value() > blocked_before; }));
     {
       std::lock_guard lock{mutex};
       release = true;
@@ -687,6 +704,290 @@ TEST(PipelineBackpressure, BlockPolicyIsLosslessAndCountsStalls) {
   EXPECT_GT(stats.shards[0].blocked_pushes, 0u);
   EXPECT_EQ(stats.merged.frames, kFrames);
   EXPECT_EQ(stats.merged.degradation.pipeline_frames_dropped, 0u);
+}
+
+// ------------------------------------------------------------------ arena
+//
+// Frame bytes travel to a shard through its payload arena, a byte ring
+// sized at 256 bytes per ring slot (1 MiB at the default 4096 slots) and
+// never under 512 KiB. These tests use frames far larger than the corpus
+// average, so the arena, not the ring, is what fills and wraps.
+
+class PipelineArena : public PipelineTest {
+ protected:
+  /// Frame `frame` with zero bytes appended up to `size`: the decoder
+  /// reads only the IP total length, so the trailer changes no result,
+  /// but a payload the arena wrapped or overwrote would.
+  static const net::Bytes& padded(const pcap::Frame& frame, std::size_t size,
+                                  net::Bytes& buffer) {
+    buffer.assign(frame.data.begin(), frame.data.end());
+    if (buffer.size() < size) buffer.resize(size, 0);
+    return buffer;
+  }
+
+  /// Single-threaded and 3-shard results over the same frame sequence
+  /// must be identical.
+  template <typename Feed>
+  static void expect_sharded_matches_single(
+      const pipeline::PipelineConfig& config, Feed feed) {
+    core::Sniffer sniffer;
+    feed([&](net::BytesView bytes, util::Timestamp ts) {
+      sniffer.on_frame(bytes, ts);
+    });
+    sniffer.finish();
+    core::FlowDatabase single = sniffer.take_database();
+    std::vector<core::DnsEvent> single_log = sniffer.take_dns_log();
+    pipeline::canonicalize(single);
+    pipeline::canonicalize(single_log);
+
+    core::AnalysisWindow merged;
+    pipeline::ShardedAnalyzer analyzer{
+        config, [&](core::AnalysisWindow&& w) { merged = std::move(w); }};
+    feed([&](net::BytesView bytes, util::Timestamp ts) {
+      analyzer.on_frame(bytes, ts);
+    });
+    analyzer.finish();
+
+    EXPECT_EQ(analyzer.stats().frames_dropped, 0u);
+    expect_stats_equal(analyzer.stats().merged, sniffer.stats());
+    ASSERT_GT(single.size(), 0u);
+    EXPECT_EQ(tsv(merged.db), tsv(single));
+    ASSERT_EQ(merged.dns_log.size(), single_log.size());
+    for (std::size_t i = 0; i < single_log.size(); ++i) {
+      EXPECT_EQ(merged.dns_log[i].fqdn, single_log[i].fqdn) << i;
+      EXPECT_EQ(merged.dns_log[i].servers, single_log[i].servers) << i;
+    }
+  }
+
+  /// Number of dispatcher backpressure waits in the flight recorder.
+  static std::size_t backpressure_waits() {
+    std::size_t n = 0;
+    for (const auto& thread : obs::FlightRecorder::global().snapshot())
+      for (const auto& event : thread.events)
+        n += event.stage == obs::TraceStage::kDispatch &&
+             event.kind == obs::TraceKind::kBackpressureWait;
+    return n;
+  }
+};
+
+TEST_F(PipelineArena, FramesStraddlingTheArenaEndArriveIntact) {
+  // Sizes 20-80 KiB in a sequence coprime to every power of two: about 20
+  // frames per lap of the arena, and most laps end with a frame that would
+  // straddle the end and starts the next lap instead. A small ring makes
+  // ring-full and arena-full stalls interleave.
+  constexpr std::size_t kFrames = 3000;
+  net::Bytes buffer;
+  const auto feed = [&](auto&& sink) {
+    for (std::size_t i = 0; i < kFrames && i < frames_->size(); ++i) {
+      const std::size_t size = 20'000 + (i * 7'919) % 60'000;
+      sink(padded((*frames_)[i], size, buffer), (*frames_)[i].timestamp);
+    }
+  };
+  for (const std::size_t queue : {std::size_t{4096}, std::size_t{4}}) {
+    SCOPED_TRACE(queue);
+    pipeline::PipelineConfig config;
+    config.shards = 3;
+    config.queue_capacity = queue;
+    expect_sharded_matches_single(config, feed);
+  }
+}
+
+TEST_F(PipelineArena, MaxRecordAndLargerFramesArriveWhole) {
+  // One frame of pcap's largest record (256 KiB, half the smallest
+  // arena), and one of 3 MiB, which only pcapng can carry and which makes
+  // the shard's arena grow, both among ordinary frames; every third frame
+  // is padded to 256 KiB.
+  constexpr std::size_t kFrames = 2000;
+  constexpr std::size_t kMaxRecord = 256 * 1024;
+  net::Bytes buffer;
+  const auto feed = [&](auto&& sink) {
+    for (std::size_t i = 0; i < kFrames && i < frames_->size(); ++i) {
+      std::size_t size = 0;
+      if (i == 500) size = kMaxRecord;
+      if (i == 1000) size = 3 * 1024 * 1024;
+      if (i > 1000 && i % 3 == 0) size = kMaxRecord;
+      sink(padded((*frames_)[i], size, buffer), (*frames_)[i].timestamp);
+    }
+  };
+  pipeline::PipelineConfig config;
+  config.shards = 3;
+  expect_sharded_matches_single(config, feed);
+}
+
+TEST_F(PipelineArena, ArenaFullBeforeRingFullBlocksLosslessly) {
+  // 64 frames of 64 KiB fill a 1 MiB arena long before its 4096-slot ring:
+  // under kBlock the dispatcher must wait for the held worker, count the
+  // stall, and lose nothing.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  pipeline::PipelineConfig config;
+  config.shards = 1;
+  config.backpressure = pipeline::BackpressurePolicy::kBlock;
+  config.worker_start_hook = [&](std::size_t) {
+    std::unique_lock lock{mutex};
+    cv.wait(lock, [&] { return release; });
+  };
+  pipeline::ShardedAnalyzer analyzer{config, nullptr};
+
+  const obs::Counter blocked =
+      obs::Registry::global().counter("dnh_pipeline_blocked_pushes_total");
+  const std::uint64_t blocked_before = blocked.value();
+  std::thread releaser{[&] {
+    EXPECT_TRUE(wait_until([&] { return blocked.value() > blocked_before; }));
+    {
+      std::lock_guard lock{mutex};
+      release = true;
+    }
+    cv.notify_all();
+  }};
+  constexpr std::uint64_t kFrames = 64;
+  net::Bytes junk(64 * 1024, 0);
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    junk[0] = static_cast<std::uint8_t>(i);
+    analyzer.on_frame(junk, util::Timestamp::from_seconds(
+                                static_cast<std::int64_t>(i)));
+  }
+  releaser.join();
+  analyzer.finish();
+
+  const auto& stats = analyzer.stats();
+  EXPECT_EQ(stats.frames_dropped, 0u);
+  EXPECT_EQ(stats.shards[0].frames_enqueued, kFrames);
+  EXPECT_EQ(stats.shards[0].frames_processed, kFrames);
+  EXPECT_GT(stats.shards[0].blocked_pushes, 0u);
+  EXPECT_LT(stats.shards[0].queue_high_water, config.queue_capacity);
+  EXPECT_EQ(stats.merged.frames, kFrames);
+}
+
+TEST_F(PipelineArena, ArenaFullUnderDropShedsFramesButNeverControlItems) {
+  // Held worker, kDrop: 64 KiB frames beyond what the arena holds are shed
+  // at arrival and counted. An export record and the window rotations
+  // that follow meet the same full arena and must wait instead: the
+  // worker is released only once the dispatcher is seen waiting.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  pipeline::PipelineConfig config;
+  config.shards = 1;
+  config.backpressure = pipeline::BackpressurePolicy::kDrop;
+  config.window = util::Duration::seconds(10);
+  config.worker_start_hook = [&](std::size_t) {
+    std::unique_lock lock{mutex};
+    cv.wait(lock, [&] { return release; });
+  };
+  std::size_t windows = 0;
+  pipeline::ShardedAnalyzer analyzer{
+      config, [&](core::AnalysisWindow&&) { ++windows; }};
+
+  const obs::Counter shed =
+      obs::Registry::global().counter("dnh_pipeline_frames_dropped_total");
+  const std::uint64_t shed_before = shed.value();
+  constexpr std::uint64_t kFrames = 64;
+  const net::Bytes junk(64 * 1024, 0xab);
+  for (std::uint64_t i = 0; i < kFrames; ++i)
+    analyzer.on_frame(junk, util::Timestamp::from_micros(
+                                1'000'000 + static_cast<std::int64_t>(i)));
+  const std::uint64_t dropped = shed.value() - shed_before;
+
+  const std::size_t waits_before = backpressure_waits();
+  std::thread releaser{[&] {
+    EXPECT_TRUE(
+        wait_until([&] { return backpressure_waits() > waits_before; }));
+    {
+      std::lock_guard lock{mutex};
+      release = true;
+    }
+    cv.notify_all();
+  }};
+  flowexport::ExportRecord record;
+  record.src_ip = net::Ipv4Address{10, 0, 0, 1};
+  record.dst_ip = net::Ipv4Address{93, 184, 216, 34};
+  record.src_port = 50000;
+  record.dst_port = 80;
+  record.packets = 3;
+  record.bytes = 1200;
+  record.first = util::Timestamp::from_seconds(2);
+  record.last = util::Timestamp::from_seconds(3);
+  analyzer.on_export_record(record, util::Timestamp::from_seconds(3));
+  releaser.join();
+  // Two rotations ([0,10) and [10,20) close), then the stop item.
+  analyzer.on_frame(junk, util::Timestamp::from_seconds(25));
+  analyzer.finish();
+
+  const auto& stats = analyzer.stats();
+  EXPECT_EQ(dropped, stats.frames_dropped);  // nothing shed after the fill
+  EXPECT_GT(stats.frames_dropped, 0u);
+  EXPECT_EQ(stats.shards[0].frames_enqueued + stats.frames_dropped,
+            kFrames + 1);
+  EXPECT_LT(stats.shards[0].frames_enqueued, kFrames);
+  EXPECT_EQ(stats.shards[0].blocked_pushes, 0u);  // kDrop never blocks frames
+  EXPECT_EQ(stats.merged.frames, stats.shards[0].frames_enqueued);
+  EXPECT_EQ(stats.merged.degradation.pipeline_frames_dropped,
+            stats.frames_dropped);
+  EXPECT_EQ(stats.records_dispatched, 1u);
+  EXPECT_EQ(stats.merged.export_records, 1u);
+  EXPECT_EQ(stats.windows_merged, 3u);
+  EXPECT_EQ(windows, 3u);
+}
+
+TEST_F(PipelineArena, ShedFramesGiveTheirArenaBytesBack) {
+  // A 2-slot ring and a held worker: two tiny frames fill the ring, the
+  // 64 KiB frames after them reach the (512 KiB) arena and are shed at the
+  // full ring. Their bytes must return to the arena with them: an export
+  // record pushed next needs arena room that only the shed frames hold,
+  // and it must get through once the worker drains the ring.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  pipeline::PipelineConfig config;
+  config.shards = 1;
+  config.queue_capacity = 2;
+  config.backpressure = pipeline::BackpressurePolicy::kDrop;
+  config.worker_start_hook = [&](std::size_t) {
+    std::unique_lock lock{mutex};
+    cv.wait(lock, [&] { return release; });
+  };
+  pipeline::ShardedAnalyzer analyzer{config, nullptr};
+
+  const net::Bytes tiny{0xde, 0xad};
+  const net::Bytes big(65535, 0xab);
+  constexpr std::uint64_t kBig = 9;  // 2 + 8 x 65535 bytes fill 512 KiB
+  const auto ts = [](std::uint64_t i) {
+    return util::Timestamp::from_micros(static_cast<std::int64_t>(i));
+  };
+  analyzer.on_frame(tiny, ts(0));
+  analyzer.on_frame(tiny, ts(1));
+  for (std::uint64_t i = 0; i < kBig; ++i) analyzer.on_frame(big, ts(2 + i));
+
+  const std::size_t waits_before = backpressure_waits();
+  std::thread releaser{[&] {
+    EXPECT_TRUE(
+        wait_until([&] { return backpressure_waits() > waits_before; }));
+    {
+      std::lock_guard lock{mutex};
+      release = true;
+    }
+    cv.notify_all();
+  }};
+  flowexport::ExportRecord record;
+  record.src_ip = net::Ipv4Address{10, 0, 0, 1};
+  record.dst_ip = net::Ipv4Address{93, 184, 216, 34};
+  record.src_port = 50000;
+  record.dst_port = 80;
+  record.packets = 1;
+  record.bytes = 60;
+  record.first = ts(20);
+  record.last = ts(20);
+  analyzer.on_export_record(record, ts(20));
+  releaser.join();
+  analyzer.finish();
+
+  const auto& stats = analyzer.stats();
+  EXPECT_EQ(stats.shards[0].frames_enqueued, 2u);
+  EXPECT_EQ(stats.frames_dropped, kBig);
+  EXPECT_EQ(stats.merged.frames, 2u);
+  EXPECT_EQ(stats.merged.export_records, 1u);
 }
 
 // ------------------------------------------------------------- edge cases
